@@ -28,9 +28,9 @@ bench-speedup:
 explain-all:
 	dune exec bin/superflow_cli.exe -- explain --all
 
-# Self-hosted static analyzer: parse every lib/**/*.ml and bin/*.ml
-# and enforce the SL-* determinism/hygiene rules. Exits 1 on any
-# unsuppressed error-severity finding. CI runs this as a merge gate.
+# Self-hosted static analyzer: parse every lib/**/*.ml, bin/*.ml and
+# bench/*.ml and enforce the SL-* determinism/hygiene rules. Exits 1 on
+# any unsuppressed error-severity finding. CI runs this as a merge gate.
 mlint:
 	dune exec bin/superflow_cli.exe -- mlint
 

@@ -921,12 +921,12 @@ let mlint_cmd =
   Cmd.v
     (Cmd.info "mlint"
        ~doc:"Statically enforce the determinism/purity contract over the \
-             flow's own OCaml sources: parse every lib/**/*.ml and bin/*.ml \
-             with compiler-libs and evaluate the SL-* rules (unordered \
-             Hashtbl iteration, wall-clock and Marshal escapes, polymorphic \
-             compares, unregistered global state, swallowed exceptions, \
-             unlabeled Parallel sites, stdout prints, exit in libraries, \
-             unregistered diagnostic ids). Suppress single sites with \
+             flow's own OCaml sources: parse every lib/**/*.ml, bin/*.ml and \
+             bench/*.ml with compiler-libs and evaluate the SL-* rules \
+             (unordered Hashtbl iteration, wall-clock and Marshal escapes, \
+             polymorphic compares, unregistered global state, swallowed \
+             exceptions, unlabeled Parallel sites, stdout prints, exit in \
+             libraries, unregistered diagnostic ids). Suppress single sites with \
              (* sl-ignore: SL-XXX-NN reason *) comments. Exits 1 on any \
              unsuppressed, unbaselined error.")
     Term.(const cmd_mlint $ mlint_root_arg $ json_arg $ mlint_update_arg

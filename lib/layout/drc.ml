@@ -427,11 +427,12 @@ let anchors d lo hi =
     List.rev ((hi - w) :: !acc)
   end
 
-let density_diags d (shapes : shape array) push =
-  let wires = Array.to_list shapes |> List.filter (fun s -> s.kind = Kwire) in
-  match wires with
-  | [] -> ()
-  | w0 :: _ ->
+(* the wires and the sorted x and y window anchors over their bounding
+   box; [None] without wires *)
+let density_grid d (shapes : shape array) =
+  match Array.to_list shapes |> List.filter (fun s -> s.kind = Kwire) with
+  | [] -> None
+  | w0 :: _ as wires ->
       let bbox =
         List.fold_left
           (fun (acc : Igeom.irect) s ->
@@ -443,34 +444,95 @@ let density_diags d (shapes : shape array) push =
             })
           w0.r wires
       in
+      let xs = Array.of_list (anchors d bbox.Igeom.lx bbox.Igeom.hx)
+      and ys = Array.of_list (anchors d bbox.Igeom.ly bbox.Igeom.hy) in
+      Some (wires, xs, ys)
+
+let window_at d ax ay =
+  let win = d.density_window in
+  { Igeom.lx = ax; ly = ay; hx = ax + win; hy = ay + win }
+
+(* one violation per over-dense window, y-outer/x-inner; [area i j] is
+   the summed wire area inside the window anchored at (xs.(i), ys.(j)) *)
+let emit_density d xs ys area push =
+  let win = d.density_window in
+  let denom = float_of_int win *. float_of_int win in
+  Array.iteri
+    (fun j ay ->
+      Array.iteri
+        (fun i ax ->
+          let density = float_of_int (area i j) /. denom in
+          if density > d.max_density then begin
+            let cx = ax + (win / 2) and cy = ay + (win / 2) in
+            push
+              ( cx,
+                cy,
+                Diag.error ~rule:"DRC-DENSITY"
+                  ~witness:
+                    [
+                      Printf.sprintf "window %s" (rect_str (window_at d ax ay));
+                    ]
+                  (at cx cy) "metal density %.0f%% > %.0f%%"
+                  (100.0 *. density)
+                  (100.0 *. d.max_density) )
+          end)
+        xs)
+    ys
+
+(* first index of the sorted [a] whose element satisfies the monotone
+   [pred], or [Array.length a] *)
+let first_index a pred =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if pred a.(mid) then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* Binned: each wire adds its exact clipped area into only the windows
+   it overlaps — anchors a with a + win > lx and a < hx, a contiguous
+   run of the strictly increasing anchors found by binary search.
+   O(wires × windows-per-wire + windows); integer sums do not depend on
+   summation order, so every area equals the reference loop's. *)
+let density_diags d (shapes : shape array) push =
+  match density_grid d shapes with
+  | None -> ()
+  | Some (wires, xs, ys) ->
       let win = d.density_window in
-      let denom = float_of_int win *. float_of_int win in
+      let nx = Array.length xs in
+      let area = Array.make (nx * Array.length ys) 0 in
+      let span a lo hi =
+        ( first_index a (fun p -> p + win > lo),
+          first_index a (fun p -> p >= hi) )
+      in
       List.iter
-        (fun ay ->
-          List.iter
-            (fun ax ->
-              let window =
-                { Igeom.lx = ax; ly = ay; hx = ax + win; hy = ay + win }
-              in
-              let area =
-                List.fold_left
-                  (fun acc s -> acc + Igeom.inter_area s.r window)
-                  0 wires
-              in
-              let density = float_of_int area /. denom in
-              if density > d.max_density then begin
-                let cx = ax + (win / 2) and cy = ay + (win / 2) in
-                push
-                  ( cx,
-                    cy,
-                    Diag.error ~rule:"DRC-DENSITY"
-                      ~witness:[ Printf.sprintf "window %s" (rect_str window) ]
-                      (at cx cy) "metal density %.0f%% > %.0f%%"
-                      (100.0 *. density)
-                      (100.0 *. d.max_density) )
-              end)
-            (anchors d bbox.Igeom.lx bbox.Igeom.hx))
-        (anchors d bbox.Igeom.ly bbox.Igeom.hy)
+        (fun s ->
+          let r = s.r in
+          let x0, x1 = span xs r.Igeom.lx r.Igeom.hx
+          and y0, y1 = span ys r.Igeom.ly r.Igeom.hy in
+          for j = y0 to y1 - 1 do
+            for i = x0 to x1 - 1 do
+              let k = (j * nx) + i in
+              area.(k) <-
+                area.(k) + Igeom.inter_area r (window_at d xs.(i) ys.(j))
+            done
+          done)
+        wires;
+      emit_density d xs ys (fun i j -> area.((j * nx) + i)) push
+
+(* The naive O(windows × wires) loop: an independent oracle for
+   {!check_brute}. The product path never calls it. *)
+let density_diags_ref d (shapes : shape array) push =
+  match density_grid d shapes with
+  | None -> ()
+  | Some (wires, xs, ys) ->
+      emit_density d xs ys
+        (fun i j ->
+          let window = window_at d xs.(i) ys.(j) in
+          List.fold_left
+            (fun acc s -> acc + Igeom.inter_area s.r window)
+            0 wires)
+        push
 
 (* ---- content hashing for the tile cache ---- *)
 
@@ -649,7 +711,7 @@ let check_brute ?deck (t : Layout.t) =
   done;
   let view = naive_view shapes in
   Array.iter (fun s -> shape_diags d view s push) shapes;
-  density_diags d shapes push;
+  density_diags_ref d shapes push;
   List.sort Diag.compare !acc
 
 (* ---- hints for the flow's fix loop ---- *)

@@ -79,8 +79,10 @@ val check : ?deck:deck -> ?cache:cache -> Layout.t -> report
 
 val check_brute : ?deck:deck -> Layout.t -> Diag.t list
 (** O(n²) reference implementation sharing only the per-rule emitters
-    with {!check} — no sweep, no tiles, no cache. The property tests
-    hold {!check} to byte-equality against it. *)
+    with {!check} — no sweep, no tiles, no cache. Its density pass is
+    the naive O(windows × wires) loop, kept as an independent oracle
+    for {!check}'s binned one. The property tests hold {!check} to
+    byte-equality against it. *)
 
 val gap_hints : Problem.t -> Diag.t list -> int list
 (** Row gaps implicated by located wire-congestion diagnostics

@@ -282,6 +282,7 @@ let discover root =
   in
   walk "lib";
   walk "bin";
+  walk "bench";
   List.sort String.compare !out
 
 let run ~known_ids ?(baseline = []) ~root () =

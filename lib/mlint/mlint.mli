@@ -2,8 +2,8 @@
     determinism contract (docs/ARCHITECTURE.md) from prose into a
     merge gate.
 
-    Every [lib/**/*.ml] and [bin/*.ml] file is parsed with
-    [compiler-libs] ([Parse.implementation]) and checked against the
+    Every [lib/**/*.ml], [bin/*.ml] and [bench/*.ml] file is parsed
+    with [compiler-libs] ([Parse.implementation]) and checked against the
     SL-* rules: unordered [Hashtbl] iteration feeding outputs,
     wall-clock and nondeterministic-seed primitives outside
     [Wallclock], [Marshal] bypassing the versioned [Codec] frames,
@@ -59,10 +59,10 @@ val run :
   root:string ->
   unit ->
   (report, string) result
-(** Analyze [root/lib/**/*.ml] and [root/bin/*.ml]. [baseline] is the
-    raw line list of a baseline file ([SL-XXX-NN path:line] entries;
-    blank and [#] lines ignored). [Error] means [root] has no [lib/]
-    directory. *)
+(** Analyze [root/lib/**/*.ml], [root/bin/*.ml] and
+    [root/bench/*.ml]. [baseline] is the raw line list of a baseline
+    file ([SL-XXX-NN path:line] entries; blank and [#] lines ignored).
+    [Error] means [root] has no [lib/] directory. *)
 
 val load_baseline : string -> (string list, string) result
 (** Read a baseline file into raw lines; missing file = [Ok []]. *)

@@ -67,6 +67,11 @@ let worst_violation p =
       Float.max acc (-.slack))
     0.0 p.Problem.nets
 
+(* lexicographic order on (worst violation, wirelength) scores *)
+let score_leq (v1, w1) (v2, w2) =
+  let c = Float.compare v1 v2 in
+  c < 0 || (c = 0 && Float.compare w1 w2 <= 0)
+
 (* Multi-start: the pipeline is cheap relative to the paper's
    runtimes, so run it from a few seeds and keep the best placement —
    worst violation first, wirelength as the tie-breaker. *)
@@ -79,7 +84,7 @@ let superflow_pipeline ~seed p =
       moves := !moves + m;
       let score = (Float.round (worst_violation p *. 10.0), Problem.hpwl p) in
       match !best with
-      | Some (best_score, _) when best_score <= score -> ()
+      | Some (best_score, _) when score_leq best_score score -> ()
       | _ -> best := Some (score, Problem.copy_positions p))
     [ seed; seed + 37; seed + 101 ];
   (match !best with

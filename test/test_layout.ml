@@ -389,6 +389,45 @@ let test_drc_matches_brute_on_random_layouts () =
   (* the layouts are dense enough that most runs find something *)
   checkb "violations exercised" true (!nonempty > 20)
 
+(* The binned density pass against check_brute's naive window loop, on
+   decks that make windows fire: a window covering the whole bounding
+   box (a single anchor), sizes that do not divide the box, and sizes
+   whose final right/top-aligned window overlaps its neighbour. *)
+let test_drc_density_matches_brute () =
+  let decks =
+    [
+      (1_000_000, 0.0);
+      (1_000_000, 0.005);
+      (77_777, 0.05);
+      (150_001, 0.02);
+      (33_333, 0.1);
+      (120_001, 0.1);
+    ]
+  in
+  let cases = ref 0 and fired = ref 0 in
+  for seed = 1 to 6 do
+    let layout = random_layout seed in
+    List.iter
+      (fun (window, max_density) ->
+        let deck =
+          { (deck0 ()) with Drc.density_window = window; max_density }
+        in
+        let tiled = (Drc.check ~deck layout).Drc.diags in
+        let brute = Drc.check_brute ~deck layout in
+        incr cases;
+        if List.exists (fun (d : Diag.t) -> d.Diag.rule = "DRC-DENSITY") tiled
+        then incr fired;
+        Alcotest.(check (list string))
+          (Printf.sprintf "seed %d window %d max %.2f: tiled = brute" seed
+             window max_density)
+          (diag_strings brute) (diag_strings tiled))
+      decks
+  done;
+  checkb
+    (Printf.sprintf "density fired in most cases (%d/%d)" !fired !cases)
+    true
+    (4 * !fired > 3 * !cases)
+
 let test_drc_tile_straddling () =
   (* violating pairs deliberately spanning the 120 µm tile boundaries *)
   let wires =
@@ -653,6 +692,8 @@ let () =
           Alcotest.test_case "cell off grid" `Quick test_rule_cell_off_grid;
           Alcotest.test_case "random = brute" `Quick
             test_drc_matches_brute_on_random_layouts;
+          Alcotest.test_case "density = brute" `Quick
+            test_drc_density_matches_brute;
           Alcotest.test_case "tile straddling" `Quick test_drc_tile_straddling;
           Alcotest.test_case "jobs deterministic" `Quick
             test_drc_jobs_deterministic;
