@@ -145,7 +145,9 @@ let cmd_route input placer_name router_name jobs =
         routed.Router.expansions routed.Router.runtime_s;
       (match Router.check_routes p routed with
       | Ok () -> Format.printf "route check: clean@."
-      | Error e -> Format.printf "route check: %s@." e)
+      | Error e ->
+          Format.printf "route check: %s@." e;
+          exit 1)
 
 (* ---- flow ---- *)
 
@@ -481,28 +483,6 @@ let cmd_sim input n_vectors vcd_out =
           Format.printf "VCD written to %s@." path
       | None -> ())
 
-(* ---- verify ---- *)
-
-let cmd_verify input_a input_b =
-  match (load_input input_a, load_input input_b) with
-  | Error e, _ | _, Error e -> exit_err e
-  | Ok nl_a, Ok nl_b -> (
-      match Bdd.check_equivalence nl_a nl_b with
-      | Bdd.Equivalent ->
-          Format.printf "EQUIVALENT (formally proven, BDD)@."
-      | Bdd.Different cex ->
-          Format.printf "DIFFERENT — counterexample inputs: %s@."
-            (String.concat ""
-               (List.map (fun b -> if b then "1" else "0") (Array.to_list cex)));
-          exit 1
-      | Bdd.Too_large ->
-          let same = Sim.equivalent nl_a nl_b in
-          Format.printf "%s (BDD too large; simulation%s)@."
-            (if same then "equivalent" else "DIFFERENT")
-            (if List.length (Netlist.inputs nl_a) <= 14 then ", exhaustive"
-             else ", sampled");
-          if not same then exit 1)
-
 (* ---- prove ---- *)
 
 let cmd_prove input_a input_b engine_opt budget json =
@@ -711,7 +691,10 @@ let jobs_arg =
                bit-identical for every value.")
 
 let route_cmd =
-  Cmd.v (Cmd.info "route" ~doc:"Synthesize, place and route")
+  Cmd.v
+    (Cmd.info "route"
+       ~doc:"Synthesize, place and route. Exits 1 when the route check \
+             fails.")
     Term.(const cmd_route $ input_arg $ placer_arg $ router_arg $ jobs_arg)
 
 let def_arg =
@@ -866,10 +849,6 @@ let sim_cmd =
   Cmd.v (Cmd.info "sim" ~doc:"Simulate random vectors (optionally dumping VCD)")
     Term.(const cmd_sim $ input_arg $ sim_n_arg $ vcd_arg)
 
-let verify_cmd =
-  Cmd.v (Cmd.info "verify" ~doc:"Formally check two designs for equivalence")
-    Term.(const cmd_verify $ input_arg $ input_b_arg)
-
 let budget_arg =
   Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N"
          ~doc:"SAT conflict budget per proved pair (default 200000). \
@@ -968,6 +947,6 @@ let main =
        ~doc:"Fully-customized RTL-to-GDS design automation flow for AQFP circuits")
     [ synth_cmd; resyn_cmd; place_cmd; route_cmd; flow_cmd; check_cmd; drc_cmd;
       sanitize_cmd; mlint_cmd; explain_cmd; timing_cmd; report_cmd; sim_cmd;
-      verify_cmd; prove_cmd; atpg_cmd; tables_cmd; bench_list_cmd ]
+      prove_cmd; atpg_cmd; tables_cmd; bench_list_cmd ]
 
 let () = exit (Cmd.eval main)

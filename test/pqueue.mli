@@ -1,9 +1,10 @@
 (** Mutable min-priority queue over float priorities (pairing heap).
 
-    Used by the A* router and by placement sweeps. Operations are
-    amortized O(log n) for [pop] and O(1) for [push]. The queue does not
-    support decrease-key; push duplicates and skip stale entries instead
-    (the standard lazy-deletion idiom for A-star search). *)
+    A test-only reference model: [test_util] checks {!Dqueue}'s pop
+    order against it. Operations are amortized O(log n) for [pop] and
+    O(1) for [push]. The queue does not support decrease-key; push
+    duplicates and skip stale entries instead (the standard
+    lazy-deletion idiom for A-star search). *)
 
 type 'a t
 

@@ -208,13 +208,12 @@ let fingerprint r =
             r.Router.total_vias )
           []))
 
-let prop_cores_valid_and_jobs_invariant =
-  (* over random placement seeds: both algorithms × both search cores
-     produce check_routes-clean results, and the fast core is
-     byte-identical at jobs=1 and jobs=4 (pair-local search state plus
-     a fixed merge order make worker count unobservable) *)
-  QCheck.Test.make
-    ~name:"cores valid across seeds; fast core jobs-invariant" ~count:4
+let prop_algorithms_valid_and_jobs_invariant =
+  (* over random placement seeds: both algorithms produce
+     check_routes-clean results that are byte-identical at jobs=1 and
+     jobs=4 (pair-local search state plus a fixed merge order make
+     worker count unobservable) *)
+  QCheck.Test.make ~name:"algorithms valid; jobs-invariant" ~count:4
     QCheck.(int_bound 1000)
     (fun seed ->
       let placed () =
@@ -224,38 +223,252 @@ let prop_cores_valid_and_jobs_invariant =
         ignore (Placer.place ~seed Placer.Superflow p);
         p
       in
-      let route jobs alg core =
+      let route jobs alg =
         Parallel.set_jobs jobs;
         Fun.protect ~finally:Parallel.auto_jobs (fun () ->
             let p = placed () in
-            let r = Router.route_all ~algorithm:alg ~core p in
+            let r = Router.route_all ~algorithm:alg p in
             (Router.check_routes p r = Ok (), fingerprint r))
       in
       List.for_all
         (fun alg ->
-          List.for_all
-            (fun core -> fst (route 1 alg core))
-            [ Router.Fast; Router.Legacy ]
-          &&
-          let ok1, f1 = route 1 alg Router.Fast in
-          let ok4, f4 = route 4 alg Router.Fast in
+          let ok1, f1 = route 1 alg in
+          let ok4, f4 = route 4 alg in
           ok1 && ok4 && f1 = f4)
         [ Router.Sequential; Router.Negotiated ])
 
-let test_fast_matches_legacy_sequential () =
-  (* the fast core is a pure reimplementation of the same search: with
-     the sequential algorithm its QoR must match the legacy core
-     exactly on a real benchmark, not just within tolerance *)
-  let route core =
-    let p = placed_problem "adder8" Placer.Superflow in
-    Router.route_all ~core p
+let test_adder8_sequential_pinned () =
+  (* the search is deterministic, so a real benchmark's sequential QoR
+     is pinned exactly, not within tolerance; these are also the values
+     the removed pre-overhaul core produced on the same input *)
+  let p = placed_problem "adder8" Placer.Superflow in
+  let r = Router.route_all p in
+  Alcotest.(check (float 1e-6)) "wirelength" 133480.0 r.Router.wirelength;
+  checki "vias" 1226 r.Router.total_vias;
+  checki "space expansions" 65 r.Router.expansions
+
+(* ---------- independent search oracle ----------
+
+   [Search.run] is checked against a plain O(V^2) Dijkstra written
+   here from the move rules in search.ml's comments. It shares no
+   code with the search: no [Dqueue], no index or cost helpers, only
+   the [grid] and [costs] record types. *)
+
+type search_case = {
+  g : Search.grid;
+  costs : Search.costs;
+  via_q : int;
+  sx : int;
+  sy : int;
+  gx : int;
+  gy : int;
+  lo_x : int;
+  hi_x : int;
+}
+
+(* quanta per grid step *)
+let oracle_qscale = 16
+let oracle_h = 0
+let oracle_v = 1
+
+(* A small random grid (nx <= 14, ny <= 8) with blocked nodes,
+   horizontal bans, owner marks, endpoints, a column window around
+   them, and either hand-built prices or [Search.owned_costs]. *)
+let random_search_case seed =
+  let st = Random.State.make [| seed |] in
+  let int n = Random.State.int st n in
+  let chance pct = int 100 < pct in
+  let nx = 2 + int 13 and ny = 2 + int 7 in
+  let n = nx * ny in
+  let owners () = Array.init n (fun _ -> if chance 15 then int 3 else -1) in
+  let g =
+    {
+      Search.nx;
+      ny;
+      grid = 10.0;
+      blocked = Array.init n (fun _ -> chance 12);
+      blocked_h = Array.init n (fun _ -> chance 10);
+      h_owner = owners ();
+      v_owner = owners ();
+      node_h = owners ();
+      node_v = owners ();
+    }
   in
-  let f = route Router.Fast in
-  let l = route Router.Legacy in
-  Alcotest.(check (float 1e-6))
-    "wirelength" l.Router.wirelength f.Router.wirelength;
-  checki "vias" l.Router.total_vias f.Router.total_vias;
-  checki "space expansions" l.Router.expansions f.Router.expansions
+  let sx = int nx in
+  let gx = if chance 30 then sx else int nx in
+  let sy = if chance 5 then ny - 1 else int (ny - 1) in
+  let gy = int ny in
+  (* blocked goals are common, to exercise the goal's exemption *)
+  if chance 40 then g.Search.blocked.((gy * nx) + gx) <- true;
+  let lo_x = int (min sx gx + 1) in
+  let hi_x = max sx gx + int (nx - max sx gx) in
+  let costs =
+    if chance 30 then Search.owned_costs g ~net:1
+    else
+      let price () = Array.init n (fun _ -> if chance 50 then 0 else int 40) in
+      let flags pct = Array.init n (fun _ -> chance pct) in
+      let eh = price () and ev = price () in
+      let ph = price () and pv = price () in
+      let forbid_h = flags 6 and forbid_v = flags 6 in
+      let ok_h = flags 94 and ok_v = flags 94 in
+      (* often open a shared pin column down to the goal, so the
+         straight-shot shortcut fires; a node on it is sometimes priced
+         high, where the shortcut must give way to a detour *)
+      if sx = gx && chance 50 then
+        for iy = sy to gy - 1 do
+          let i = (iy * nx) + sx in
+          ev.(i) <- 0;
+          forbid_v.(i) <- false;
+          ok_v.(i) <- true;
+          ok_v.(i + nx) <- true;
+          if iy + 1 < gy then g.Search.blocked.(i + nx) <- false;
+          pv.(i + nx) <- (if chance 25 then 300 + int 300 else 0)
+        done;
+      {
+        Search.edge_h = (fun i -> if forbid_h.(i) then -1 else eh.(i));
+        edge_v = (fun i -> if forbid_v.(i) then -1 else ev.(i));
+        node_ok_h = (fun i -> ok_h.(i));
+        node_ok_v = (fun i -> ok_v.(i));
+        node_price_h = (fun i -> ph.(i));
+        node_price_v = (fun i -> pv.(i));
+      }
+  in
+  let via_q = if chance 20 then 0 else int 40 in
+  { g; costs; via_q; sx; sy; gx; gy; lo_x; hi_x }
+
+(* The forced first move: straight down out of the source pin at a
+   flat grid step, unpriced. It is not a search move, so the node it
+   enters gets no goal exemption. *)
+let oracle_seed c =
+  let nx = c.g.Search.nx in
+  let below = ((c.sy + 1) * nx) + c.sx in
+  c.sy + 1 < c.g.Search.ny
+  && c.costs.Search.edge_v ((c.sy * nx) + c.sx) >= 0
+  && (not c.g.Search.blocked.(below))
+  && c.costs.Search.node_ok_v below
+
+(* Every legal move out of state (ix, iy, arrived-in-dir), with its
+   cost: horizontal moves stay in the window and are barred by
+   [blocked_h] at either end; the entered node must not be blocked
+   unless it is the goal; [node_ok] of the move's layer holds at both
+   ends; a step costs a grid step, plus a via on a direction change,
+   plus the edge price, plus the entered node's price. *)
+let oracle_moves c ix iy dir =
+  let g = c.g and k = c.costs in
+  let nx = g.Search.nx in
+  let here = (iy * nx) + ix in
+  let step nix niy ndir edge_price node_ok node_price =
+    let there = (niy * nx) + nix in
+    let goal = nix = c.gx && niy = c.gy in
+    if
+      edge_price >= 0
+      && ((not g.Search.blocked.(there)) || goal)
+      && node_ok there && node_ok here
+    then
+      let via = if ndir <> dir then c.via_q else 0 in
+      [ ((nix, niy, ndir), oracle_qscale + via + edge_price + node_price there) ]
+    else []
+  in
+  let horizontal nix =
+    if
+      nix >= c.lo_x && nix <= c.hi_x
+      && not (g.Search.blocked_h.(here) || g.Search.blocked_h.((iy * nx) + nix))
+    then
+      step nix iy oracle_h
+        (k.Search.edge_h ((iy * nx) + min ix nix))
+        k.Search.node_ok_h k.Search.node_price_h
+    else []
+  in
+  let vertical niy =
+    if niy >= 0 && niy < g.Search.ny then
+      step ix niy oracle_v
+        (k.Search.edge_v ((min iy niy * nx) + ix))
+        k.Search.node_ok_v k.Search.node_price_v
+    else []
+  in
+  horizontal (ix + 1) @ horizontal (ix - 1) @ vertical (iy + 1) @ vertical (iy - 1)
+
+(* Cheapest cost of a path ending at the goal entered vertically, by
+   Dijkstra with a linear minimum scan over (node, dir) states. *)
+let oracle_optimum c =
+  if not (oracle_seed c) then None
+  else begin
+    let nx = c.g.Search.nx in
+    let state (ix, iy, dir) = (((iy * nx) + ix) * 2) + dir in
+    let n = nx * c.g.Search.ny * 2 in
+    let dist = Array.make n max_int and settled = Array.make n false in
+    dist.(state (c.sx, c.sy + 1, oracle_v)) <- oracle_qscale;
+    let rec loop () =
+      let best = ref (-1) in
+      for s = 0 to n - 1 do
+        if
+          (not settled.(s)) && dist.(s) < max_int
+          && (!best < 0 || dist.(s) < dist.(!best))
+        then best := s
+      done;
+      if !best >= 0 then begin
+        let s = !best in
+        settled.(s) <- true;
+        let node = s / 2 in
+        List.iter
+          (fun (next, cost) ->
+            let t = state next in
+            if dist.(s) + cost < dist.(t) then dist.(t) <- dist.(s) + cost)
+          (oracle_moves c (node mod nx) (node / nx) (s mod 2));
+        loop ()
+      end
+    in
+    loop ();
+    let d = dist.(state (c.gx, c.gy, oracle_v)) in
+    if d = max_int then None else Some d
+  end
+
+(* The cost of a returned path, or [None] if any step is not a legal
+   move: it must start at the source pin, take the forced first move,
+   continue by [oracle_moves] and end at the goal entered vertically. *)
+let oracle_path_cost c path =
+  let rec walk acc = function
+    | [ last ] -> if last = (c.gx, c.gy, oracle_v) then Some acc else None
+    | (ix, iy, dir) :: (next :: _ as rest) -> (
+        match List.assoc_opt next (oracle_moves c ix iy dir) with
+        | Some cost -> walk (acc + cost) rest
+        | None -> None)
+    | [] -> None
+  in
+  match path with
+  | first :: (second :: _ as rest)
+    when first = (c.sx, c.sy, oracle_v)
+         && second = (c.sx, c.sy + 1, oracle_v)
+         && oracle_seed c ->
+      walk oracle_qscale rest
+  | _ -> None
+
+let prop_search_matches_oracle =
+  (* [Search.run] finds no path exactly when the oracle proves the
+     goal unreachable; otherwise its path is legal move by move and
+     costs the oracle's optimum (the straight-shot shortcut included) *)
+  QCheck.Test.make ~name:"search = Dijkstra oracle" ~count:300
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let c = random_search_case seed in
+      let found =
+        Search.run (Search.create_arena ()) c.g ~costs:c.costs ~via_q:c.via_q
+          ~sx:c.sx ~sy:c.sy ~gx:c.gx ~gy:c.gy ~lo_x:c.lo_x ~hi_x:c.hi_x
+      in
+      match (found, oracle_optimum c) with
+      | None, None -> true
+      | Some path, Some best -> (
+          match oracle_path_cost c path with
+          | Some cost when cost = best -> true
+          | Some cost ->
+              QCheck.Test.fail_reportf "path costs %d, oracle optimum %d" cost
+                best
+          | None -> QCheck.Test.fail_reportf "path takes an illegal move")
+      | Some _, None ->
+          QCheck.Test.fail_reportf "search found a path the oracle rules out"
+      | None, Some best ->
+          QCheck.Test.fail_reportf "search found no path; oracle optimum %d"
+            best)
 
 let () =
   Alcotest.run "sf_route"
@@ -276,8 +489,9 @@ let () =
           Alcotest.test_case "preexpand" `Slow test_congestion_preexpand_reduces_expansions;
           Alcotest.test_case "congestion report" `Quick test_congestion_report_renders;
           QCheck_alcotest.to_alcotest prop_routes_edge_disjoint;
-          Alcotest.test_case "fast = legacy (sequential)" `Quick
-            test_fast_matches_legacy_sequential;
-          QCheck_alcotest.to_alcotest prop_cores_valid_and_jobs_invariant;
+          Alcotest.test_case "adder8 sequential QoR pinned" `Quick
+            test_adder8_sequential_pinned;
+          QCheck_alcotest.to_alcotest prop_algorithms_valid_and_jobs_invariant;
+          QCheck_alcotest.to_alcotest prop_search_matches_oracle;
         ] );
     ]
