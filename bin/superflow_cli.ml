@@ -1,13 +1,23 @@
 (* SuperFlow command-line interface.
 
-   Subcommands mirror the flow stages:
-     superflow synth   <input>          — logic synthesis report
-     superflow resyn   <input> [--effort ...]  — majority resynthesis report
-     superflow place   <input> [--placer ...]
-     superflow route   <input>
-     superflow flow    <input> [-o out.gds] [--check] [--engine ...]
-     superflow check   <input> [--json] [--engine ...]  — verification gate
-     superflow prove   <a> <b> [--engine ...]  — complete equivalence proof
+   Subcommands mirror the flow stages; synth, resyn, place, route and
+   timing run the flow's stage graph up to their stage and report its
+   artifacts:
+     superflow synth    <input>          — logic synthesis report
+     superflow resyn    <input> [--effort ...]  — majority resynthesis report
+     superflow place    <input> [--placer ...]  — placement + buffer lines
+     superflow route    <input> [--router ...]  — routing + route check
+     superflow timing   <input>          — STA of the placed design
+     superflow flow     <input> [-o out.gds] [--check] [--engine ...]
+     superflow check    <input> [--json] [--engine ...]  — verification gate
+     superflow drc      <input> [--db DIR]  — full-deck DRC signoff
+     superflow sanitize <input>          — determinism sanitizer
+     superflow report   <input> [--html ...]  — chip signoff report
+     superflow sim      <input> [-o out.vcd]  — random-vector simulation
+     superflow prove    <a> <b> [--engine ...]  — complete equivalence proof
+     superflow atpg     <input> [-o file]  — stuck-at test vectors
+     superflow mlint    [root]           — determinism/purity lint of the sources
+     superflow explain  <RULE-ID>        — explain a diagnostic rule
      superflow tables                    — regenerate the paper tables
      superflow bench-list                — list built-in benchmarks
 
@@ -63,13 +73,31 @@ let exit_err msg =
   Format.eprintf "error: %s@." msg;
   exit 1
 
+(* ---- stage slices ---- *)
+
+(* The stage subcommands report slices of the one stage graph, so they
+   see exactly the artifacts [superflow flow] builds: buffer lines, the
+   settling pass and channel pre-sizing included. *)
+let run_to to_stage ?algorithm ?router ?jobs ?resyn_effort aoi =
+  match
+    Flow.run_staged ?algorithm ?router ?jobs ?resyn_effort ~to_stage aoi
+  with
+  | Ok staged -> staged
+  | Error d -> exit_err (Diag.to_string d)
+
+let produced what = function
+  | Some v -> v
+  | None -> exit_err ("the flow produced no " ^ what)
+
 (* ---- synth ---- *)
 
 let cmd_synth input =
   match load_input input with
   | Error e -> exit_err e
   | Ok aoi ->
-      let aqfp, report = Synth_flow.run aoi in
+      let aqfp, report =
+        produced "synthesis" (run_to Flow.Synth aoi).Flow.synth
+      in
       Format.printf "input: %a@." Netlist.pp_stats aoi;
       Format.printf "aqfp:  %a@." Netlist.pp_stats aqfp;
       Format.printf "%a@." Synth_flow.pp_report report;
@@ -85,8 +113,9 @@ let cmd_resyn input effort_name =
   match (load_input input, Resyn.effort_of_string effort_name) with
   | Error e, _ | _, Error e -> exit_err e
   | Ok aoi, Ok effort ->
-      let aqfp0 = Synth_flow.run_quiet aoi in
-      let aqfp1, r = Resyn.run ~effort aqfp0 in
+      let staged = run_to Flow.Resyn ~resyn_effort:effort aoi in
+      let aqfp0, _ = produced "synthesis" staged.Flow.synth in
+      let aqfp1, r = produced "resynthesis" staged.Flow.resyned in
       Format.printf "before: %a@." Netlist.pp_stats aqfp0;
       Format.printf "after:  %a@." Netlist.pp_stats aqfp1;
       Format.printf
@@ -114,12 +143,12 @@ let cmd_place input placer_name =
   match (load_input input, placer_of_string placer_name) with
   | Error e, _ | _, Error e -> exit_err e
   | Ok aoi, Ok algorithm ->
-      let aqfp = Synth_flow.run_quiet aoi in
-      let p = Problem.of_netlist Tech.default aqfp in
-      let r = Placer.place algorithm p in
-      let sta = Sta.analyze p in
+      let _, p, r, buffer_lines =
+        produced "placement" (run_to Flow.Place ~algorithm aoi).Flow.placed
+      in
       Format.printf "%a@." Placer.pp_result r;
-      Format.printf "%a@." Sta.pp_report sta;
+      Format.printf "buffer lines: %d@." buffer_lines;
+      Format.printf "%a@." Sta.pp_report (Sta.analyze p);
       Format.printf "%a@." Problem.pp_summary p
 
 (* ---- route ---- *)
@@ -132,17 +161,18 @@ let router_of_string = function
 let cmd_route input placer_name router_name jobs =
   match (load_input input, placer_of_string placer_name, router_of_string router_name) with
   | Error e, _, _ | _, Error e, _ | _, _, Error e -> exit_err e
-  | Ok aoi, Ok algorithm, Ok router_alg ->
-      (match jobs with Some j -> Parallel.set_jobs j | None -> ());
-      let aqfp = Synth_flow.run_quiet aoi in
-      let p = Problem.of_netlist Tech.default aqfp in
-      ignore (Placer.place algorithm p);
-      let routed = Router.route_all ~algorithm:router_alg p in
+  | Ok aoi, Ok algorithm, Ok router ->
+      let routed, p, violations, rounds =
+        produced "routing"
+          (run_to Flow.Route ~algorithm ~router ?jobs aoi).Flow.routed
+      in
       Format.printf
         "routed %d nets: wirelength=%.0fum vias=%d space-expansions=%d (%.1fs)@."
         (Array.length routed.Router.routes)
         routed.Router.wirelength routed.Router.total_vias
         routed.Router.expansions routed.Router.runtime_s;
+      Format.printf "drc: %d violation(s), %d fix round(s)@."
+        (List.length violations) rounds;
       (match Router.check_routes p routed with
       | Ok () -> Format.printf "route check: clean@."
       | Error e ->
@@ -416,11 +446,7 @@ let cmd_drc input placer_name router_name tech_file jobs db_dir json =
       match Flow.run_staged ~tech ~algorithm ~router ?jobs ?db ~to_stage:Flow.Layout aoi with
       | Error d -> exit_err (Diag.to_string d)
       | Ok staged ->
-          let layout =
-            match staged.Flow.built with
-            | Some (layout, _, _) -> layout
-            | None -> exit_err "drc: the flow produced no layout"
-          in
+          let layout, _, _ = produced "layout" staged.Flow.built in
           let cache = Option.map Flow.drc_cache_of_db db in
           let rep = Drc.check ?cache layout in
           let s = rep.Drc.stats in
@@ -440,9 +466,9 @@ let cmd_timing input placer_name =
   match (load_input input, placer_of_string placer_name) with
   | Error e, _ | _, Error e -> exit_err e
   | Ok aoi, Ok algorithm ->
-      let aqfp = Synth_flow.run_quiet aoi in
-      let p = Problem.of_netlist Tech.default aqfp in
-      ignore (Placer.place algorithm p);
+      let _, p, _, _ =
+        produced "placement" (run_to Flow.Place ~algorithm aoi).Flow.placed
+      in
       let sta = Sta.analyze p in
       Format.printf "%a@." Sta.pp_report sta;
       Format.printf "max frequency for this placement: %.2f GHz@.@." (Sta.fmax_ghz p);
@@ -522,7 +548,7 @@ let cmd_atpg input out_file =
   match load_input input with
   | Error e -> exit_err e
   | Ok aoi ->
-      let aqfp = Synth_flow.run_quiet aoi in
+      let aqfp, _ = produced "synthesis" (run_to Flow.Synth aoi).Flow.synth in
       let t = Fault.generate ~seed:1 aqfp in
       Format.printf "%d vectors, %.2f%% stuck-at coverage, %d undetected fault(s)@."
         (List.length t.Fault.vectors)
@@ -676,7 +702,11 @@ let resyn_cmd =
     Term.(const cmd_resyn $ input_arg $ resyn_cmd_effort_arg)
 
 let place_cmd =
-  Cmd.v (Cmd.info "place" ~doc:"Synthesize and place")
+  Cmd.v
+    (Cmd.info "place"
+       ~doc:"Run the flow through its place stage (synthesis, placement, \
+             buffer-line insertion, settling, channel pre-sizing) and \
+             report the placement.")
     Term.(const cmd_place $ input_arg $ placer_arg)
 
 let router_arg =
@@ -693,8 +723,9 @@ let jobs_arg =
 let route_cmd =
   Cmd.v
     (Cmd.info "route"
-       ~doc:"Synthesize, place and route. Exits 1 when the route check \
-             fails.")
+       ~doc:"Run the flow through its route stage (including the DRC fix \
+             loop) and report the final routing. Exits 1 when the route \
+             check fails.")
     Term.(const cmd_route $ input_arg $ placer_arg $ router_arg $ jobs_arg)
 
 let def_arg =
@@ -831,7 +862,10 @@ let drc_cmd =
           $ jobs_arg $ db_arg $ json_arg)
 
 let timing_cmd =
-  Cmd.v (Cmd.info "timing" ~doc:"Static timing analysis of a placed design")
+  Cmd.v
+    (Cmd.info "timing"
+       ~doc:"Static timing analysis of the design the flow's place stage \
+             produces")
     Term.(const cmd_timing $ input_arg $ placer_arg)
 
 let input_b_arg =

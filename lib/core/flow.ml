@@ -45,13 +45,6 @@ let check_passes ?(tier = Check.Fast) ?absint_cache r =
 
 let version = "0.1.0"
 
-let timed f =
-  (* wall clock, not [Sys.time]: CPU time sums across domains and
-     overstates every parallel stage *)
-  let t0 = Wallclock.now_s () in
-  let v = f () in
-  (v, Wallclock.now_s () -. t0)
-
 (* ---- the explicit stage graph ---- *)
 
 type stage = Synth | Resyn | Place | Route | Layout | Check
@@ -66,25 +59,15 @@ let stage_name = function
   | Layout -> "layout"
   | Check -> "check"
 
-let stage_of_string = function
-  | "synth" -> Ok Synth
-  | "resyn" -> Ok Resyn
-  | "place" -> Ok Place
-  | "route" -> Ok Route
-  | "layout" -> Ok Layout
-  | "check" -> Ok Check
-  | s ->
+let stage_of_string s =
+  match List.find_opt (fun st -> String.equal (stage_name st) s) stages with
+  | Some st -> Ok st
+  | None ->
       Error
-        (Printf.sprintf
-           "unknown stage %S (synth|resyn|place|route|layout|check)" s)
+        (Printf.sprintf "unknown stage %S (%s)" s
+           (String.concat "|" (List.map stage_name stages)))
 
-let stage_rank = function
-  | Synth -> 0
-  | Resyn -> 1
-  | Place -> 2
-  | Route -> 3
-  | Layout -> 4
-  | Check -> 5
+let stage_rank s = Option.get (List.find_index (fun st -> st = s) stages)
 
 type outcome = Cached of float | Computed of float
 
@@ -106,40 +89,35 @@ let graph_version = "sf-flow-graph-5"
 
 exception Stage_failed of Diag.t
 
-let slot_err name = Codec.err ~rule:"DB-SLOT-01" "manifest lacks slot %S" name
+let ( let* ) = Result.bind
+
+let slot slots name =
+  match List.assoc_opt name slots with
+  | Some v -> Ok v
+  | None -> Error (Codec.err ~rule:"DB-SLOT-01" "manifest lacks slot %S" name)
 
 let load_obj db codec slots name =
-  match List.assoc_opt name slots with
-  | None -> Error (slot_err name)
-  | Some h -> (
-      match Db.get_object db h with
-      | Error _ as e -> e
-      | Ok bytes -> codec.Artifact.decode bytes)
-
-let scalar scalars name =
-  match List.assoc_opt name scalars with
-  | Some v -> Ok v
-  | None -> Error (slot_err name)
+  let* h = slot slots name in
+  let* bytes = Db.get_object db h in
+  codec.Artifact.decode bytes
 
 let put db codec v = Db.put_object db (codec.Artifact.encode v)
 
-(* DRC tile verdicts memoize through the proof store under their
-   content-hash keys ("drct1:"/"drcd1:"), so an ECO rerun re-checks
-   only the tiles whose geometry changed; decode failures (stale
-   codec) degrade to a recompute-and-overwrite *)
+(* Diagnostic lists memoize through the proof store under their
+   content-hash keys; decode failures (stale codec) degrade to a
+   recompute-and-overwrite. Shared by the DRC tile verdicts and the
+   absint findings. *)
+let diags_memo dbh =
+  ( (fun k ->
+      Option.bind (Db.find_proof dbh ~key:k) (fun s ->
+          Result.to_option (Artifact.diags.Artifact.decode s))),
+    fun k ds -> Db.put_proof dbh ~key:k (Artifact.diags.Artifact.encode ds) )
+
+(* DRC tile verdicts are keyed "drct1:"/"drcd1:", so an ECO rerun
+   re-checks only the tiles whose geometry changed *)
 let drc_cache_of_db dbh =
-  {
-    Drc.find =
-      (fun k ->
-        match Db.find_proof dbh ~key:k with
-        | None -> None
-        | Some s -> (
-            match Artifact.diags.Artifact.decode s with
-            | Ok ds -> Some ds
-            | Error _ -> None));
-    store =
-      (fun k ds -> Db.put_proof dbh ~key:k (Artifact.diags.Artifact.encode ds));
-  }
+  let find, store = diags_memo dbh in
+  { Drc.find; store }
 
 let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
     ?(router = Router.Sequential) ?(seed = 1) ?jobs ?db ?(from_stage = Synth)
@@ -149,6 +127,9 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
   (* running "to check" switches the synthesis equivalence guards on,
      exactly like [run ~check:true] *)
   let guard = stage_rank to_stage >= stage_rank Check in
+  let guard_part () =
+    if guard then "guards-" ^ Equiv.engine_name equiv_engine else "noguards"
+  in
   (* proof verdicts are memoized per cone pair in the database: a warm
      [--check] rerun whose synth stage somehow misses (say, a changed
      engine) still re-proves nothing that is already on disk *)
@@ -163,25 +144,12 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
     | _ -> None
   in
   (* the absint dataflow findings memoize through the same proof
-     store, keyed by the netlist's structural hash; decode failures
-     (stale codec) degrade to a recompute-and-overwrite *)
+     store, keyed by the netlist's structural hash *)
   let absint_cache =
     match db with
     | Some dbh when guard ->
-        Some
-          {
-            Absint_check.find =
-              (fun k ->
-                match Db.find_proof dbh ~key:k with
-                | None -> None
-                | Some s -> (
-                    match Artifact.diags.Artifact.decode s with
-                    | Ok ds -> Some ds
-                    | Error _ -> None));
-            store =
-              (fun k ds ->
-                Db.put_proof dbh ~key:k (Artifact.diags.Artifact.encode ds));
-          }
+        let find, store = diags_memo dbh in
+        Some { Absint_check.find; store }
     | _ -> None
   in
   if stage_rank from_stage > stage_rank to_stage then
@@ -196,19 +164,20 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
   else begin
     let outcomes = ref [] in
     let note stage o = outcomes := (stage, o) :: !outcomes in
-    let included stage = stage_rank stage <= stage_rank to_stage in
+    let exception Stop in
     (* One stage: cache lookup (when a database is attached), else
-       compute and persist. [parts] builds the cache key — input
-       artifact hashes plus every parameter that affects the stage;
-       the worker-pool size is deliberately absent (results are
+       compute and persist; a stage past [to_stage] raises [Stop] and
+       ends the graph. [parts] builds the cache key — input artifact
+       hashes plus every parameter that affects the stage; the
+       worker-pool size is deliberately absent (results are
        bit-identical at any [--jobs]). Corrupt cache entries degrade
        to a miss with a warning and are overwritten. *)
-    let exec ~stage ~parts ~load ~store ~compute =
+    let exec stage ~parts ~load ~store compute =
+      if stage_rank stage > stage_rank to_stage then raise Stop;
       let name = stage_name stage in
-      let must_hit = stage_rank stage < stage_rank from_stage in
       match db with
       | None ->
-          let v, s = timed compute in
+          let v, s = Wallclock.time compute in
           note stage (Computed s);
           (v, [])
       | Some dbh -> (
@@ -217,7 +186,7 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
             match Db.get_stage dbh ~stage:name ~key with
             | None -> None
             | Some (slots, scalars) -> (
-                match timed (fun () -> load dbh slots scalars) with
+                match Wallclock.time (fun () -> load dbh slots scalars) with
                 | Ok v, s -> Some (v, s, slots)
                 | Error d, _ ->
                     Db.warn dbh
@@ -237,14 +206,14 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
               note stage (Cached s);
               (v, slots)
           | None ->
-              if must_hit then
+              if stage_rank stage < stage_rank from_stage then
                 raise
                   (Stage_failed
                      (Codec.err ~rule:"DB-FROM-01"
                         "stage %s is not in the database for these inputs; \
                          rerun without --from"
                         name));
-              let v, s = timed compute in
+              let v, s = Wallclock.time compute in
               let slots, scalars = store dbh v in
               Db.put_stage dbh ~stage:name ~key ~slots ~scalars;
               Db.record dbh name Db.Miss s;
@@ -254,35 +223,67 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
     let shash slots name =
       match List.assoc_opt name slots with Some h -> h | None -> "?"
     in
+    let seconds stage =
+      match List.assoc_opt stage !outcomes with
+      | Some (Cached s) | Some (Computed s) -> s
+      | None -> 0.0
+    in
+    let times () =
+      {
+        synth_s = seconds Synth;
+        resyn_s = seconds Resyn;
+        place_s = seconds Place;
+        route_s = seconds Route;
+        layout_s = seconds Layout;
+        check_s = seconds Check;
+      }
+    in
     let h_aoi = lazy (Db.hash (aoi |> Artifact.netlist.Artifact.encode)) in
     let h_tech = lazy (Db.hash (tech |> Artifact.tech.Artifact.encode)) in
+    (* what has been produced so far; a [Stop] returns it as is *)
+    let st =
+      ref
+        {
+          outcomes = [];
+          db_warnings = [];
+          synth = None;
+          resyned = None;
+          placed = None;
+          routed = None;
+          built = None;
+          checked = None;
+          result = None;
+        }
+    in
+    let finish () =
+      Ok
+        {
+          !st with
+          outcomes = List.rev !outcomes;
+          db_warnings =
+            (match db with Some dbh -> Db.warnings dbh | None -> []);
+        }
+    in
     try
       (* 1. logic synthesis: AOI -> MAJ -> balanced AQFP netlist *)
-      let (aqfp0, synth_report), s_synth =
-        exec ~stage:Synth
-          ~parts:(fun () ->
-            [
-              Lazy.force h_aoi;
-              (if guard then "guards-" ^ Equiv.engine_name equiv_engine
-               else "noguards");
-            ])
+      let ((aqfp0, synth_report) as synth), s_synth =
+        exec Synth
+          ~parts:(fun () -> [ Lazy.force h_aoi; guard_part () ])
           ~load:(fun db slots _ ->
-            match load_obj db Artifact.netlist slots "aqfp0" with
-            | Error _ as e -> e
-            | Ok nl -> (
-                match load_obj db Artifact.synth_report slots "report" with
-                | Error e -> Error e
-                | Ok rep -> Ok (nl, rep)))
+            let* nl = load_obj db Artifact.netlist slots "aqfp0" in
+            let* rep = load_obj db Artifact.synth_report slots "report" in
+            Ok (nl, rep))
           ~store:(fun db (nl, rep) ->
             ( [
                 ("aqfp0", put db Artifact.netlist nl);
                 ("report", put db Artifact.synth_report rep);
               ],
               [] ))
-          ~compute:(fun () ->
+          (fun () ->
             Synth_flow.run ~check:guard ~engine:equiv_engine ?cache:proof_cache
               aoi)
       in
+      st := { !st with synth = Some synth };
       (* 2. cut-based majority resynthesis over the mapped netlist —
          identity at the default [Off] effort (the stage still exists
          and caches, so the graph shape is effort-independent).
@@ -290,359 +291,242 @@ let run_staged ?(tech = Tech.default) ?(algorithm = Placer.Superflow)
          guards on, the stage's own whole-netlist equivalence check
          lands in its report diagnostics (and hence the [equiv] check
          pass). *)
-      let resyned =
-        if not (included Resyn) then None
-        else
-          Some
-            (exec ~stage:Resyn
-               ~parts:(fun () ->
-                 [
-                   shash s_synth "aqfp0";
-                   "effort-" ^ Resyn.effort_name resyn_effort;
-                   (if guard then "guards-" ^ Equiv.engine_name equiv_engine
-                    else "noguards");
-                 ])
-               ~load:(fun db slots _ ->
-                 match load_obj db Artifact.netlist slots "aqfp1" with
-                 | Error _ as e -> e
-                 | Ok nl -> (
-                     match
-                       load_obj db Artifact.resyn_report slots "report"
-                     with
-                     | Error e -> Error e
-                     | Ok rep -> Ok (nl, rep)))
-               ~store:(fun db (nl, rep) ->
-                 ( [
-                     ("aqfp1", put db Artifact.netlist nl);
-                     ("report", put db Artifact.resyn_report rep);
-                   ],
-                   [] ))
-               ~compute:(fun () ->
-                 let resyn_cache =
-                   match db with
-                   | Some dbh ->
-                       Some
-                         {
-                           Resyn.find = (fun k -> Db.find_proof dbh ~key:k);
-                           store = (fun k v -> Db.put_proof dbh ~key:k v);
-                         }
-                   | None -> None
-                 in
-                 let nl, rep =
-                   Resyn.run ~effort:resyn_effort ?cache:resyn_cache aqfp0
-                 in
-                 let rep =
-                   if guard && resyn_effort <> Resyn.Off then
-                     let ds =
-                       Equiv.check_pair ~engine:equiv_engine ?cache:proof_cache
-                         ~stage:"resyn" aqfp0 nl
-                     in
-                     {
-                       rep with
-                       Resyn.diags =
-                         List.sort Diag.compare (rep.Resyn.diags @ ds);
-                     }
-                   else rep
-                 in
-                 (nl, rep)))
+      let ((aqfp1, resyn_report) as resyned), s_resyn =
+        exec Resyn
+          ~parts:(fun () ->
+            [
+              shash s_synth "aqfp0";
+              "effort-" ^ Resyn.effort_name resyn_effort;
+              guard_part ();
+            ])
+          ~load:(fun db slots _ ->
+            let* nl = load_obj db Artifact.netlist slots "aqfp1" in
+            let* rep = load_obj db Artifact.resyn_report slots "report" in
+            Ok (nl, rep))
+          ~store:(fun db (nl, rep) ->
+            ( [
+                ("aqfp1", put db Artifact.netlist nl);
+                ("report", put db Artifact.resyn_report rep);
+              ],
+              [] ))
+          (fun () ->
+            let resyn_cache =
+              Option.map
+                (fun dbh ->
+                  {
+                    Resyn.find = (fun k -> Db.find_proof dbh ~key:k);
+                    store = (fun k v -> Db.put_proof dbh ~key:k v);
+                  })
+                db
+            in
+            let nl, rep =
+              Resyn.run ~effort:resyn_effort ?cache:resyn_cache aqfp0
+            in
+            let rep =
+              if guard && resyn_effort <> Resyn.Off then
+                let ds =
+                  Equiv.check_pair ~engine:equiv_engine ?cache:proof_cache
+                    ~stage:"resyn" aqfp0 nl
+                in
+                { rep with Resyn.diags = List.sort Diag.compare (rep.Resyn.diags @ ds) }
+              else rep
+            in
+            (nl, rep))
       in
+      st := { !st with resyned = Some resyned };
       (* 3. placement + max-wirelength buffer-line insertion (re-threads
          long hops through whole rows of buffers, keeping the pipeline
          balanced) + channel pre-sizing for the router *)
-      let placed =
-        match resyned with
-        | None -> None
-        | Some ((aqfp1, _), s_resyn) ->
-            if not (included Place) then None
-            else
-          Some
-            (exec ~stage:Place
-               ~parts:(fun () ->
-                 [
-                   shash s_resyn "aqfp1";
-                   Lazy.force h_tech;
-                   Placer.algorithm_name algorithm;
-                   string_of_int seed;
-                 ])
-               ~load:(fun db slots scalars ->
-                 match load_obj db Artifact.netlist slots "aqfp" with
-                 | Error _ as e -> e
-                 | Ok aqfp -> (
-                     match load_obj db Artifact.problem slots "problem" with
-                     | Error _ as e -> e
-                     | Ok p -> (
-                         match
-                           load_obj db Artifact.placement slots "placement"
-                         with
-                         | Error _ as e -> e
-                         | Ok placement -> (
-                             match scalar scalars "buffer_lines" with
-                             | Error e -> Error e
-                             | Ok lines -> Ok (aqfp, p, placement, lines)))))
-               ~store:(fun db (aqfp, p, placement, lines) ->
-                 ( [
-                     ("aqfp", put db Artifact.netlist aqfp);
-                     ("problem", put db Artifact.problem p);
-                     ("placement", put db Artifact.placement placement);
-                   ],
-                   [ ("buffer_lines", lines) ] ))
-               ~compute:(fun () ->
-                 let p0 = Problem.of_netlist tech aqfp1 in
-                 let placement = Placer.place ~seed algorithm p0 in
-                 let aqfp, p, buffer_lines = Bufferline.insert aqfp1 p0 in
-                 (* newly inserted buffer rows start at crude midpoints;
-                    one light detailed pass settles them *)
-                 if buffer_lines > 0 then
-                   ignore
-                     (Detailed.run
-                        ~options:
-                          {
-                            Detailed.default_options with
-                            max_passes = 3;
-                            window = 2;
-                          }
-                        p);
-                 (* pre-size channels from the placement's channel
-                    density so the router's reactive expansion loop has
-                    less to do *)
-                 ignore (Congestion.preexpand p);
-                 (aqfp, p, placement, buffer_lines)))
+      let ((aqfp, p, placement, buffer_lines) as placed), s_place =
+        exec Place
+          ~parts:(fun () ->
+            [
+              shash s_resyn "aqfp1";
+              Lazy.force h_tech;
+              Placer.algorithm_name algorithm;
+              string_of_int seed;
+            ])
+          ~load:(fun db slots scalars ->
+            let* aqfp = load_obj db Artifact.netlist slots "aqfp" in
+            let* p = load_obj db Artifact.problem slots "problem" in
+            let* placement = load_obj db Artifact.placement slots "placement" in
+            let* lines = slot scalars "buffer_lines" in
+            Ok (aqfp, p, placement, lines))
+          ~store:(fun db (aqfp, p, placement, lines) ->
+            ( [
+                ("aqfp", put db Artifact.netlist aqfp);
+                ("problem", put db Artifact.problem p);
+                ("placement", put db Artifact.placement placement);
+              ],
+              [ ("buffer_lines", lines) ] ))
+          (fun () ->
+            let p0 = Problem.of_netlist tech aqfp1 in
+            let placement = Placer.place ~seed algorithm p0 in
+            let aqfp, p, buffer_lines = Bufferline.insert aqfp1 p0 in
+            (* newly inserted buffer rows start at crude midpoints;
+               one light detailed pass settles them *)
+            if buffer_lines > 0 then
+              ignore
+                (Detailed.run
+                   ~options:
+                     { Detailed.default_options with max_passes = 3; window = 2 }
+                   p);
+            (* pre-size channels from the placement's channel density
+               so the router's reactive expansion loop has less to do *)
+            ignore (Congestion.preexpand p);
+            (aqfp, p, placement, buffer_lines))
       in
+      st := { !st with placed = Some placed };
       (* 4. routing + DRC fix loop: violating regions get extra space
          and are re-routed. The final layout of the loop is kept as an
-         in-memory memo so a cold run does not rebuild it in stage 4;
-         it is not persisted (stage 4 owns the layout artifact). *)
+         in-memory memo so a cold run does not rebuild it in stage 5;
+         it is not persisted (stage 5 owns the layout artifact). *)
       let memo = ref None in
-      let routed =
-        match placed with
-        | None -> None
-        | Some ((_, p, _, _), s_place) ->
-            if not (included Route) then None
-            else
-              Some
-                (exec ~stage:Route
-                   ~parts:(fun () ->
-                     [
-                       shash s_place "problem";
-                       (match router with
-                       | Router.Sequential -> "sequential"
-                       | Router.Negotiated -> "negotiated");
-                     ])
-                   ~load:(fun db slots scalars ->
-                     match load_obj db Artifact.routing slots "routing" with
-                     | Error _ as e -> e
-                     | Ok routing -> (
-                         match load_obj db Artifact.problem slots "problem" with
-                         | Error _ as e -> e
-                         | Ok p' -> (
-                             match load_obj db Artifact.drc slots "drc" with
-                             | Error _ as e -> e
-                             | Ok violations -> (
-                                 match scalar scalars "fix_rounds" with
-                                 | Error e -> Error e
-                                 | Ok rounds ->
-                                     Ok (routing, p', violations, rounds)))))
-                   ~store:(fun db (routing, p', violations, rounds) ->
-                     ( [
-                         ("routing", put db Artifact.routing routing);
-                         ("problem", put db Artifact.problem p');
-                         ("drc", put db Artifact.drc violations);
-                       ],
-                       [ ("fix_rounds", rounds) ] ))
-                   ~compute:(fun () ->
-                     let drc_cache = Option.map drc_cache_of_db db in
-                     let routing0 = Router.route_all ~algorithm:router p in
-                     let rec fix_loop routing rounds =
-                       let layout = Layout.build p routing in
-                       let violations =
-                         (Drc.check ?cache:drc_cache layout).Drc.diags
-                       in
-                       if violations = [] || rounds >= 3 then begin
-                         memo := Some layout;
-                         (routing, p, violations, rounds)
-                       end
-                       else begin
-                         let gaps = Drc.gap_hints p violations in
-                         if gaps = [] then begin
-                           memo := Some layout;
-                           (routing, p, violations, rounds)
-                         end
-                         else begin
-                           List.iter
-                             (fun g ->
-                               if
-                                 g >= 0
-                                 && g < Array.length p.Problem.row_gaps
-                               then
-                                 p.Problem.row_gaps.(g) <-
-                                   p.Problem.row_gaps.(g) +. tech.Tech.s_min)
-                             gaps;
-                           let routing' =
-                             Router.route_all ~algorithm:router p
-                           in
-                           fix_loop routing' (rounds + 1)
-                         end
-                       end
-                     in
-                     fix_loop routing0 0))
+      let ((routing, p', violations, rounds) as routed), s_route =
+        exec Route
+          ~parts:(fun () ->
+            [
+              shash s_place "problem";
+              (match router with
+              | Router.Sequential -> "sequential"
+              | Router.Negotiated -> "negotiated");
+            ])
+          ~load:(fun db slots scalars ->
+            let* routing = load_obj db Artifact.routing slots "routing" in
+            let* p' = load_obj db Artifact.problem slots "problem" in
+            let* violations = load_obj db Artifact.drc slots "drc" in
+            let* rounds = slot scalars "fix_rounds" in
+            Ok (routing, p', violations, rounds))
+          ~store:(fun db (routing, p', violations, rounds) ->
+            ( [
+                ("routing", put db Artifact.routing routing);
+                ("problem", put db Artifact.problem p');
+                ("drc", put db Artifact.drc violations);
+              ],
+              [ ("fix_rounds", rounds) ] ))
+          (fun () ->
+            let drc_cache = Option.map drc_cache_of_db db in
+            let rec fix_loop routing rounds =
+              let layout = Layout.build p routing in
+              let violations = (Drc.check ?cache:drc_cache layout).Drc.diags in
+              let gaps =
+                if violations = [] || rounds >= 3 then []
+                else Drc.gap_hints p violations
+              in
+              if gaps = [] then begin
+                memo := Some layout;
+                (routing, p, violations, rounds)
+              end
+              else begin
+                List.iter
+                  (fun g ->
+                    if g >= 0 && g < Array.length p.Problem.row_gaps then
+                      p.Problem.row_gaps.(g) <-
+                        p.Problem.row_gaps.(g) +. tech.Tech.s_min)
+                  gaps;
+                fix_loop (Router.route_all ~algorithm:router p) (rounds + 1)
+              end
+            in
+            fix_loop (Router.route_all ~algorithm:router p) 0)
       in
+      st := { !st with routed = Some routed };
       (* DEF captures placement + routing; it can be written as soon as
          the route stage has run *)
-      (match (def_path, routed) with
-      | Some path, Some ((routing, p', _, _), _) ->
-          Def.write_file path (Def.of_design ~design:"superflow" p' routing)
-      | _ -> ());
+      Option.iter
+        (fun path ->
+          Def.write_file path (Def.of_design ~design:"superflow" p' routing))
+        def_path;
       (* 5. layout assembly + sign-off timing (actual routed lengths)
          + adiabatic energy *)
-      let built =
-        match (placed, routed) with
-        | Some ((aqfp, _, _, _), s_place), Some ((routing, p', _, _), s_route)
-          ->
-            if not (included Layout) then None
-            else
-              Some
-                (exec ~stage:Layout
-                   ~parts:(fun () ->
-                     [
-                       shash s_route "problem";
-                       shash s_route "routing";
-                       shash s_place "aqfp";
-                     ])
-                   ~load:(fun db slots _ ->
-                     match load_obj db Artifact.layout slots "layout" with
-                     | Error _ as e -> e
-                     | Ok layout -> (
-                         match load_obj db Artifact.sta slots "sta" with
-                         | Error _ as e -> e
-                         | Ok sta -> (
-                             match load_obj db Artifact.energy slots "energy" with
-                             | Error _ as e -> e
-                             | Ok energy -> Ok (layout, sta, energy))))
-                   ~store:(fun db (layout, sta, energy) ->
-                     ( [
-                         ("layout", put db Artifact.layout layout);
-                         ("sta", put db Artifact.sta sta);
-                         ("energy", put db Artifact.energy energy);
-                       ],
-                       [] ))
-                   ~compute:(fun () ->
-                     let layout =
-                       match !memo with
-                       | Some l -> l
-                       | None -> Layout.build p' routing
-                     in
-                     let sta = Sta.analyze_routed p' routing in
-                     let energy = Energy.of_netlist tech aqfp in
-                     (layout, sta, energy)))
-        | _ -> None
-      in
-      (match (gds_path, built) with
-      | Some path, Some ((layout, _, _), _) -> Layout.write_gds path layout
-      | _ -> ());
-      let seconds stage =
-        match List.assoc_opt stage !outcomes with
-        | Some (Cached s) | Some (Computed s) -> s
-        | None -> 0.0
-      in
-      (* assemble the classic flow result as soon as every physical
-         stage is present *)
-      let result0 =
-        match (resyned, placed, routed, built) with
-        | ( Some ((_, resyn_report), _),
-            Some ((aqfp, _, placement, buffer_lines), _),
-            Some ((routing, p', violations, rounds), _),
-            Some ((layout, sta, energy), _) ) ->
-            Some
-              {
-                aqfp_netlist = aqfp;
-                problem = p';
-                routing;
-                layout;
-                violations;
-                synth_report;
-                resyn_report;
-                placement;
-                sta;
-                energy;
-                buffer_lines;
-                drc_fix_rounds = rounds;
-                check_report = None;
-                times =
-                  {
-                    synth_s = seconds Synth;
-                    resyn_s = seconds Resyn;
-                    place_s = seconds Place;
-                    route_s = seconds Route;
-                    layout_s = seconds Layout;
-                    check_s = 0.0;
-                  };
-              }
-        | _ -> None
-      in
-      (* 5. the static-verification gate over every stage handoff *)
-      let checked =
-        match result0 with
-        | Some r0 when included Check ->
-            let report, _ =
-              exec ~stage:Check
-                ~parts:(fun () ->
-                  match (resyned, placed, routed, built) with
-                  | ( Some (_, s_resyn),
-                      Some (_, s_place),
-                      Some (_, s_route),
-                      Some (_, s_layout) ) ->
-                      [
-                        shash s_place "aqfp";
-                        shash s_synth "report";
-                        shash s_resyn "report";
-                        shash s_route "problem";
-                        shash s_route "routing";
-                        shash s_route "drc";
-                        shash s_layout "layout";
-                        "tier-" ^ Check.tier_name check_tier;
-                      ]
-                  | _ -> assert false)
-                ~load:(fun db slots _ ->
-                  load_obj db Artifact.check_report slots "report")
-                ~store:(fun db rep ->
-                  ([ ("report", put db Artifact.check_report rep) ], []))
-                ~compute:(fun () ->
-                  Check.run
-                    ~header:
-                      [
-                        ("tier", Check.tier_name check_tier);
-                        ("engine", Equiv.engine_name equiv_engine);
-                      ]
-                    (check_passes ~tier:check_tier ?absint_cache r0))
+      let ((layout, sta, energy) as built), s_layout =
+        exec Layout
+          ~parts:(fun () ->
+            [
+              shash s_route "problem";
+              shash s_route "routing";
+              shash s_place "aqfp";
+            ])
+          ~load:(fun db slots _ ->
+            let* layout = load_obj db Artifact.layout slots "layout" in
+            let* sta = load_obj db Artifact.sta slots "sta" in
+            let* energy = load_obj db Artifact.energy slots "energy" in
+            Ok (layout, sta, energy))
+          ~store:(fun db (layout, sta, energy) ->
+            ( [
+                ("layout", put db Artifact.layout layout);
+                ("sta", put db Artifact.sta sta);
+                ("energy", put db Artifact.energy energy);
+              ],
+              [] ))
+          (fun () ->
+            let layout =
+              match !memo with Some l -> l | None -> Layout.build p' routing
             in
-            Some report
-        | _ -> None
+            let sta = Sta.analyze_routed p' routing in
+            let energy = Energy.of_netlist tech aqfp in
+            (layout, sta, energy))
       in
-      let result =
-        match result0 with
-        | None -> None
-        | Some r0 ->
-            Some
-              {
-                r0 with
-                check_report = checked;
-                times = { r0.times with check_s = seconds Check };
-              }
-      in
-      Ok
+      Option.iter (fun path -> Layout.write_gds path layout) gds_path;
+      (* the classic flow result exists as soon as every physical stage
+         has run *)
+      let r0 =
         {
-          outcomes = List.rev !outcomes;
-          db_warnings =
-            (match db with Some dbh -> Db.warnings dbh | None -> []);
-          synth = Some (aqfp0, synth_report);
-          resyned = Option.map fst resyned;
-          placed = Option.map fst placed;
-          routed = Option.map fst routed;
-          built = Option.map fst built;
-          checked;
-          result;
+          aqfp_netlist = aqfp;
+          problem = p';
+          routing;
+          layout;
+          violations;
+          synth_report;
+          resyn_report;
+          placement;
+          sta;
+          energy;
+          buffer_lines;
+          drc_fix_rounds = rounds;
+          check_report = None;
+          times = times ();
         }
-    with Stage_failed d -> Error d
+      in
+      st := { !st with built = Some built; result = Some r0 };
+      (* 6. the static-verification gate over every stage handoff *)
+      let report, _ =
+        exec Check
+          ~parts:(fun () ->
+            [
+              shash s_place "aqfp";
+              shash s_synth "report";
+              shash s_resyn "report";
+              shash s_route "problem";
+              shash s_route "routing";
+              shash s_route "drc";
+              shash s_layout "layout";
+              "tier-" ^ Check.tier_name check_tier;
+              "engine-" ^ Equiv.engine_name equiv_engine;
+            ])
+          ~load:(fun db slots _ ->
+            load_obj db Artifact.check_report slots "report")
+          ~store:(fun db rep ->
+            ([ ("report", put db Artifact.check_report rep) ], []))
+          (fun () ->
+            Check.run
+              ~header:
+                [
+                  ("tier", Check.tier_name check_tier);
+                  ("engine", Equiv.engine_name equiv_engine);
+                ]
+              (check_passes ~tier:check_tier ?absint_cache r0))
+      in
+      st :=
+        {
+          !st with
+          checked = Some report;
+          result =
+            Some { r0 with check_report = Some report; times = times () };
+        };
+      finish ()
+    with
+    | Stop -> finish ()
+    | Stage_failed d -> Error d
   end
 
 let run ?tech ?algorithm ?router ?seed ?jobs ?(check = false) ?equiv_engine

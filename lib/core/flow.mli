@@ -87,7 +87,9 @@ val check_passes :
       the fix-round count;
     - [layout]: the routed problem, the routing and the AQFP netlist
       — covers layout assembly, sign-off STA and the energy report;
-    - [check]: every artifact the verification gate reads.
+    - [check]: every artifact the verification gate reads, plus the
+      check tier and the equivalence engine (both are recorded in
+      the report header).
 
     [--jobs] is deliberately absent from every key: stage results
     are bit-identical at any pool size (see {!Parallel}). *)
@@ -149,10 +151,13 @@ val run_staged :
     [from_stage] (default [Synth]) asserts that every earlier stage
     is already in the database — a miss there fails with [DB-FROM-01]
     rather than silently recomputing; [to_stage] (default [Layout])
-    stops the graph early. [to_stage = Check] switches the synthesis
+    stops the graph early: the [staged] artifact fields of the stages
+    after it are [None]. [to_stage = Check] switches the synthesis
     equivalence guards on, exactly like [run ~check:true];
     [equiv_engine] (default [`Auto]) selects the guard's proof engine
-    ({!Equiv.engine}) and participates in the [synth] cache key, and
+    ({!Equiv.engine}), participates in the [synth], [resyn] and
+    [check] cache keys whenever the guards run and is recorded in the
+    check report header, and
     when [db] is attached the individual cone proofs memoize into the
     database's proof cache ({!Db.put_proof}). [check_tier] (default
     [Check.Fast]) selects the gate's tier — [Fast] leans on the

@@ -277,6 +277,56 @@ let test_from_stage_requires_cached_prefix () =
         (Flow.run_staged ~db ~from_stage:Flow.Layout ~to_stage:Flow.Place
            (aoi ())))
 
+let staged_ok = function
+  | Ok st -> st
+  | Error d -> Alcotest.fail (Diag.to_string d)
+
+(* every [to_stage] slice runs exactly the stages up to it, exposes
+   exactly their artifacts, and reruns warm from the database *)
+let test_every_to_stage_slice () =
+  List.iter
+    (fun to_stage ->
+      with_db (fun _dir db ->
+          let name = Flow.stage_name to_stage in
+          let reached s = Flow.stage_rank s <= Flow.stage_rank to_stage in
+          let upto = List.filter reached Flow.stages in
+          let run () = staged_ok (Flow.run_staged ~db ~to_stage (aoi ())) in
+          let cold = run () in
+          Alcotest.(check (list string))
+            (name ^ ": stages run")
+            (List.map Flow.stage_name upto)
+            (List.map (fun (s, _) -> Flow.stage_name s) cold.Flow.outcomes);
+          let has what s v = checkb (name ^ ": " ^ what) (reached s) v in
+          has "synth" Flow.Synth (Option.is_some cold.Flow.synth);
+          has "resyned" Flow.Resyn (Option.is_some cold.Flow.resyned);
+          has "placed" Flow.Place (Option.is_some cold.Flow.placed);
+          has "routed" Flow.Route (Option.is_some cold.Flow.routed);
+          has "built" Flow.Layout (Option.is_some cold.Flow.built);
+          has "checked" Flow.Check (Option.is_some cold.Flow.checked);
+          has "result" Flow.Layout (Option.is_some cold.Flow.result);
+          Alcotest.(check (list (pair string bool)))
+            (name ^ ": warm rerun all cached")
+            (List.map (fun s -> (Flow.stage_name s, true)) upto)
+            (List.map (fun (s, o) -> (s, o = `Hit)) (outcome_names (run ())))))
+    Flow.stages
+
+(* the check report's header records the equivalence engine, so the
+   engine belongs in the check stage's key: switching it on a warm
+   database must give the fresh-database report, not the cached one *)
+let test_check_key_covers_engine () =
+  let report ~db equiv_engine =
+    let st =
+      staged_ok
+        (Flow.run_staged ~db ~to_stage:Flow.Check ~equiv_engine (aoi ()))
+    in
+    Check.render_text (Option.get st.Flow.checked)
+  in
+  let fresh_sat = with_db (fun _dir db -> report ~db `Sat) in
+  with_db (fun _dir db ->
+      ignore (report ~db `Auto);
+      checks "sat report after an auto run = fresh sat report" fresh_sat
+        (report ~db `Sat))
+
 let test_corrupt_cache_self_heals () =
   with_db (fun dir db ->
       let cold = Flow.run ~db (aoi ()) in
@@ -334,5 +384,9 @@ let () =
             test_from_stage_requires_cached_prefix;
           Alcotest.test_case "corrupt cache self-heals" `Quick
             test_corrupt_cache_self_heals;
+          Alcotest.test_case "every to_stage slice" `Quick
+            test_every_to_stage_slice;
+          Alcotest.test_case "check key covers the engine" `Quick
+            test_check_key_covers_engine;
         ] );
     ]
