@@ -245,7 +245,21 @@ let test_adder8_sequential_pinned () =
   let r = Router.route_all p in
   Alcotest.(check (float 1e-6)) "wirelength" 133480.0 r.Router.wirelength;
   checki "vias" 1226 r.Router.total_vias;
-  checki "space expansions" 65 r.Router.expansions
+  checki "space expansions" 65 r.Router.expansions;
+  checki "node expansions" 510397 r.Router.node_expansions
+
+let test_adder8_negotiated_pinned () =
+  (* node expansions pin the search order itself: a change in which
+     states pop, or when, moves this count even when the paths come
+     out the same *)
+  let p = placed_problem "adder8" Placer.Superflow in
+  let r = Router.route_all ~algorithm:Router.Negotiated p in
+  Alcotest.(check (float 1e-6)) "wirelength" 129050.0 r.Router.wirelength;
+  checki "vias" 1224 r.Router.total_vias;
+  checki "space expansions" 55 r.Router.expansions;
+  checki "node expansions" 8828350 r.Router.node_expansions;
+  checki "negotiation rounds" 5 r.Router.neg_rounds;
+  checki "reroutes" 878 r.Router.neg_rerouted
 
 (* ---------- independent search oracle ----------
 
@@ -491,6 +505,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_routes_edge_disjoint;
           Alcotest.test_case "adder8 sequential QoR pinned" `Quick
             test_adder8_sequential_pinned;
+          Alcotest.test_case "adder8 negotiated QoR pinned" `Slow
+            test_adder8_negotiated_pinned;
           QCheck_alcotest.to_alcotest prop_algorithms_valid_and_jobs_invariant;
           QCheck_alcotest.to_alcotest prop_search_matches_oracle;
         ] );
