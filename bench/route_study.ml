@@ -11,7 +11,9 @@
      dune exec bench/route_study.exe -- quick   # small circuits
      dune exec bench/route_study.exe -- check   # compared against
                                                 # bench/route_baselines.txt
-                                                # (exit 1 on >1% QoR drift) *)
+                                                # (exit 1 on >1% QoR drift
+                                                # or any change in node
+                                                # expansions) *)
 
 let quick = Array.exists (fun a -> a = "quick") Sys.argv
 let check = Array.exists (fun a -> a = "check") Sys.argv
@@ -63,6 +65,7 @@ type baseline = {
   b_wl : float;
   b_vias : int;
   b_exp : int;
+  b_nodes : int; (* A* node expansions: compared exactly *)
 }
 
 let baselines_path () =
@@ -83,9 +86,9 @@ let load_baselines () =
         if line = "" || line.[0] = '#' then loop acc
         else
           let b =
-            Scanf.sscanf line "%s %s %f %d %d"
-              (fun b_circuit b_alg b_wl b_vias b_exp ->
-                { b_circuit; b_alg; b_wl; b_vias; b_exp })
+            Scanf.sscanf line "%s %s %f %d %d %d"
+              (fun b_circuit b_alg b_wl b_vias b_exp b_nodes ->
+                { b_circuit; b_alg; b_wl; b_vias; b_exp; b_nodes })
           in
           loop (b :: acc)
   in
@@ -129,7 +132,17 @@ let check_guard () =
             (float_of_int b.b_vias);
           complain "space-expansions"
             (float_of_int r.Router.expansions)
-            (float_of_int b.b_exp))
+            (float_of_int b.b_exp);
+          (* the search is deterministic, so its work is pinned exactly:
+             a change in search order moves this count even when the
+             QoR columns stay within tolerance *)
+          if r.Router.node_expansions <> b.b_nodes then begin
+            incr failures;
+            Printf.printf
+              "route QoR guard: %s/%s node-expansions changed: %d vs \
+               baseline %d\n"
+              b.b_circuit b.b_alg r.Router.node_expansions b.b_nodes
+          end)
     baselines;
   if !failures = 0 then print_endline "route QoR guard: OK"
   else begin

@@ -226,8 +226,10 @@ let negotiate_pair g arena endpoints ~via_q ~max_iterations =
               untally neg res;
               paths.(i) <- None
           | None -> ());
-          let costs = negotiated_costs g neg ~present_q ~net:ni in
-          match run_bboxed arena g ~costs ~via_q ~sx ~sy ~gx ~gy with
+          match
+            run_bboxed ~prices:(neg, present_q) arena g ~net:ni ~via_q ~sx ~sy
+              ~gx ~gy
+          with
           | Some path -> paths.(i) <- Some (path, tally g neg st path)
           | None -> all_routed := false
         end)
@@ -369,8 +371,7 @@ let route_pair p r ~nets ~via_cost ~max_expansions ~algorithm ~margin =
         List.iter
           (fun (ni, sx, sy, gx, gy) ->
             if !failed = None then begin
-              let costs = owned_costs g ~net:ni in
-              match run_bboxed arena g ~costs ~via_q ~sx ~sy ~gx ~gy with
+              match run_bboxed arena g ~net:ni ~via_q ~sx ~sy ~gx ~gy with
               | Some path ->
                   commit g ~net:ni path;
                   paths := (ni, path) :: !paths

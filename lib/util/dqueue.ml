@@ -1,5 +1,7 @@
 (* Bucketed dial priority queue over non-negative integer keys with
-   integer payloads — the open list of the router's A* core.
+   non-negative integer payloads — the open list of the router's A* core. The
+   contract (key order, FIFO ties, cursor, clear cost) is stated in
+   dqueue.mli; this file is about how it is met cheaply.
 
    A binary heap pays O(log n) per operation and compares boxed or
    float priorities; the router's costs live on an integer lattice
@@ -8,151 +10,151 @@
    keep one FIFO bucket per distinct key and scan a cursor forward —
    O(1) pushes, pops amortized over the total key advance.
 
-   Tie-break contract: keys pop in non-decreasing order, and equal
-   keys pop in push (FIFO) order. This is stronger than the binary
-   heap it replaces, whose order among equal priorities depended on
-   heap shape; documenting FIFO makes every tie deterministic and
-   independent of the push history that produced the heap shape.
-
-   Keys need not arrive in non-decreasing order: a push below the
-   cursor moves the cursor back. Buckets are paged (256 buckets per
-   lazily-allocated page) so sparse, far-apart keys — late negotiation
-   rounds price congestion steeply — cost memory proportional to the
-   pages actually touched, and the cursor skips empty pages in one
-   step. [clear] resets the queue for reuse without freeing anything,
-   which is what lets a search arena recycle one queue across every
-   net of a row pair. *)
-
-type bucket = {
-  mutable data : int array;
-  mutable head : int; (* next element to pop *)
-  mutable len : int; (* next free slot *)
-}
+   Layout: keys are split into 256-bucket pages, allocated lazily so
+   sparse, far-apart keys (late negotiation rounds price congestion
+   steeply) cost memory proportional to the pages actually touched,
+   and the cursor skips an empty page in one step. A page is flat:
+   per-slot [head]/[len] int arrays and one payload array per slot.
+   Unallocated pages are the queue's empty sentinel page rather than
+   an [option], so a push or pop reads page -> slot array -> payload
+   with no [Some] to unwrap and nothing allocated. *)
 
 type page = {
   mutable occupied : int; (* buckets with pending elements *)
-  buckets : bucket option array; (* 256 slots *)
+  head : int array; (* per slot: next element to pop *)
+  len : int array; (* per slot: next free position *)
+  data : int array array; (* per slot: payloads, [||] until first use *)
 }
 
 type t = {
-  mutable pages : page option array;
+  mutable pages : page array; (* [empty] where not yet allocated *)
+  empty : page; (* sentinel: never written, [occupied] stays 0 *)
   mutable cur : int; (* no pending key is below this *)
   mutable size : int;
-  touched_buckets : bucket Vec.t; (* to reset on clear; may hold dups *)
+  touched_keys : int Vec.t; (* buckets to reset on clear; may hold dups *)
   touched_pages : page Vec.t;
 }
 
 let page_bits = 8
 let page_size = 1 lsl page_bits
+let slot_mask = page_size - 1
 
 let create () =
   {
     pages = [||];
+    empty = { occupied = 0; head = [||]; len = [||]; data = [||] };
     cur = 0;
     size = 0;
-    touched_buckets = Vec.create ();
+    touched_keys = Vec.create ();
     touched_pages = Vec.create ();
   }
 
 let length t = t.size
 let is_empty t = t.size = 0
 
+(* after a pop, the cursor sits on the popped key *)
+let popped_key t = t.cur
+
 let clear t =
   Vec.iter
-    (fun b ->
-      b.head <- 0;
-      b.len <- 0)
-    t.touched_buckets;
+    (fun key ->
+      let page = t.pages.(key lsr page_bits) in
+      let slot = key land slot_mask in
+      page.head.(slot) <- 0;
+      page.len.(slot) <- 0)
+    t.touched_keys;
   Vec.iter (fun p -> p.occupied <- 0) t.touched_pages;
-  Vec.clear t.touched_buckets;
+  Vec.clear t.touched_keys;
   Vec.clear t.touched_pages;
   t.cur <- 0;
   t.size <- 0
 
-let ensure_pages t n =
+(* the page for index [pi], allocating it (and growing the page table)
+   on first use *)
+let new_page t pi =
   let cap = Array.length t.pages in
-  if n > cap then begin
-    let cap' = max n (max 8 (2 * cap)) in
-    let pages = Array.make cap' None in
+  if pi >= cap then begin
+    let pages = Array.make (max (pi + 1) (max 8 (2 * cap))) t.empty in
     Array.blit t.pages 0 pages 0 cap;
     t.pages <- pages
+  end;
+  let p =
+    {
+      occupied = 0;
+      head = Array.make page_size 0;
+      len = Array.make page_size 0;
+      data = Array.make page_size [||];
+    }
+  in
+  t.pages.(pi) <- p;
+  p
+
+(* a full bucket reclaims its popped prefix, or doubles when it has
+   none *)
+let make_room page slot =
+  let data = page.data.(slot) in
+  let head = page.head.(slot) and len = page.len.(slot) in
+  if head > 0 then begin
+    Array.blit data head data 0 (len - head);
+    page.head.(slot) <- 0;
+    page.len.(slot) <- len - head
   end
-
-let get_page t pi =
-  ensure_pages t (pi + 1);
-  match t.pages.(pi) with
-  | Some p -> p
-  | None ->
-      let p = { occupied = 0; buckets = Array.make page_size None } in
-      t.pages.(pi) <- Some p;
-      p
-
-let get_bucket page slot =
-  match page.buckets.(slot) with
-  | Some b -> b
-  | None ->
-      let b = { data = Array.make 4 0; head = 0; len = 0 } in
-      page.buckets.(slot) <- Some b;
-      b
+  else begin
+    let grown = Array.make (max 4 (2 * len)) 0 in
+    Array.blit data 0 grown 0 len;
+    page.data.(slot) <- grown
+  end
 
 let push t key v =
   if key < 0 then invalid_arg "Dqueue.push: negative key";
-  let page = get_page t (key lsr page_bits) in
-  let b = get_bucket page (key land (page_size - 1)) in
-  if b.len = Array.length b.data then
-    if b.head > 0 then begin
-      (* reclaim the popped prefix before growing *)
-      Array.blit b.data b.head b.data 0 (b.len - b.head);
-      b.len <- b.len - b.head;
-      b.head <- 0
-    end
-    else begin
-      let data = Array.make (2 * b.len) 0 in
-      Array.blit b.data 0 data 0 b.len;
-      b.data <- data
-    end;
-  if b.head = b.len then begin
-    (* bucket was empty: register it, and its page if it was idle *)
+  if v < 0 then invalid_arg "Dqueue.push: negative payload";
+  let pi = key lsr page_bits in
+  let page =
+    if pi < Array.length t.pages && t.pages.(pi) != t.empty then t.pages.(pi)
+    else new_page t pi
+  in
+  let slot = key land slot_mask in
+  let len = page.len.(slot) in
+  if page.head.(slot) = len then begin
+    (* bucket was empty (pops reset it to 0/0): register it, and its
+       page if it was idle *)
     if page.occupied = 0 then ignore (Vec.push t.touched_pages page);
     page.occupied <- page.occupied + 1;
-    ignore (Vec.push t.touched_buckets b)
+    ignore (Vec.push t.touched_keys key)
   end;
-  b.data.(b.len) <- v;
-  b.len <- b.len + 1;
+  if len = Array.length page.data.(slot) then make_room page slot;
+  let len = page.len.(slot) in
+  page.data.(slot).(len) <- v;
+  page.len.(slot) <- len + 1;
   if key < t.cur then t.cur <- key;
   t.size <- t.size + 1
 
 let pop t =
-  if t.size = 0 then None
+  if t.size = 0 then -1
   else begin
-    let result = ref None in
-    while !result = None do
-      let pi = t.cur lsr page_bits in
-      match t.pages.(pi) with
-      | None -> t.cur <- (pi + 1) lsl page_bits
-      | Some page when page.occupied = 0 -> t.cur <- (pi + 1) lsl page_bits
-      | Some page ->
-          let slot = ref (t.cur land (page_size - 1)) in
-          let found = ref false in
-          while (not !found) && !slot < page_size do
-            (match page.buckets.(!slot) with
-            | Some b when b.head < b.len ->
-                found := true;
-                let key = (pi lsl page_bits) lor !slot in
-                let v = b.data.(b.head) in
-                b.head <- b.head + 1;
-                if b.head = b.len then begin
-                  b.head <- 0;
-                  b.len <- 0;
-                  page.occupied <- page.occupied - 1
-                end;
-                t.cur <- key;
-                t.size <- t.size - 1;
-                result := Some (key, v)
-            | _ -> ());
-            if not !found then incr slot
-          done;
-          if not !found then t.cur <- (pi + 1) lsl page_bits
+    (* the cursor invariant (no pending key below [cur]) means the
+       first occupied page at or after the cursor's holds the minimum,
+       at or after the cursor's slot when it is the cursor's own page *)
+    let pi = ref (t.cur lsr page_bits) in
+    let slot = ref (t.cur land slot_mask) in
+    while t.pages.(!pi).occupied = 0 do
+      incr pi;
+      slot := 0
     done;
-    !result
+    let page = t.pages.(!pi) in
+    while page.head.(!slot) = page.len.(!slot) do
+      incr slot
+    done;
+    let slot = !slot in
+    let head = page.head.(slot) in
+    let v = page.data.(slot).(head) in
+    if head + 1 = page.len.(slot) then begin
+      page.head.(slot) <- 0;
+      page.len.(slot) <- 0;
+      page.occupied <- page.occupied - 1
+    end
+    else page.head.(slot) <- head + 1;
+    t.cur <- (!pi lsl page_bits) lor slot;
+    t.size <- t.size - 1;
+    v
   end

@@ -265,12 +265,13 @@ let test_adder8_negotiated_pinned () =
 
    [Search.run] is checked against a plain O(V^2) Dijkstra written
    here from the move rules in search.ml's comments. It shares no
-   code with the search: no [Dqueue], no index or cost helpers, only
-   the [grid] and [costs] record types. *)
+   code with the search: no [Dqueue], no index, ownership or price
+   helpers; it reads only the [grid] and [neg_state] arrays. *)
 
 type search_case = {
   g : Search.grid;
-  costs : Search.costs;
+  net : int;
+  prices : (Search.neg_state * int) option;
   via_q : int;
   sx : int;
   sy : int;
@@ -286,14 +287,19 @@ let oracle_h = 0
 let oracle_v = 1
 
 (* A small random grid (nx <= 14, ny <= 8) with blocked nodes,
-   horizontal bans, owner marks, endpoints, a column window around
-   them, and either hand-built prices or [Search.owned_costs]. *)
+   horizontal bans, owner marks of the searching net and of foreign
+   nets (foreign marks forbid edges and make nodes inadmissible),
+   endpoints, a column window around them, and either no prices
+   (sequential) or random negotiation tallies and history with a
+   random present price. *)
 let random_search_case seed =
   let st = Random.State.make [| seed |] in
   let int n = Random.State.int st n in
   let chance pct = int 100 < pct in
   let nx = 2 + int 13 and ny = 2 + int 7 in
   let n = nx * ny in
+  let net = 1 in
+  (* owners 0 and 2 are foreign *)
   let owners () = Array.init n (fun _ -> if chance 15 then int 3 else -1) in
   let g =
     {
@@ -316,39 +322,55 @@ let random_search_case seed =
   if chance 40 then g.Search.blocked.((gy * nx) + gx) <- true;
   let lo_x = int (min sx gx + 1) in
   let hi_x = max sx gx + int (nx - max sx gx) in
-  let costs =
-    if chance 30 then Search.owned_costs g ~net:1
+  let prices =
+    if chance 30 then None
     else
-      let price () = Array.init n (fun _ -> if chance 50 then 0 else int 40) in
-      let flags pct = Array.init n (fun _ -> chance pct) in
-      let eh = price () and ev = price () in
-      let ph = price () and pv = price () in
-      let forbid_h = flags 6 and forbid_v = flags 6 in
-      let ok_h = flags 94 and ok_v = flags 94 in
+      let use () = Array.init n (fun _ -> if chance 60 then 0 else int 4) in
+      let hist () = Array.init n (fun _ -> if chance 50 then 0 else int 40) in
+      let neg =
+        {
+          Search.h_use = use ();
+          v_use = use ();
+          nh_use = use ();
+          nv_use = use ();
+          h_hist = hist ();
+          v_hist = hist ();
+          nh_hist = hist ();
+          nv_hist = hist ();
+        }
+      in
       (* often open a shared pin column down to the goal, so the
          straight-shot shortcut fires; a node on it is sometimes priced
          high, where the shortcut must give way to a detour *)
       if sx = gx && chance 50 then
         for iy = sy to gy - 1 do
           let i = (iy * nx) + sx in
-          ev.(i) <- 0;
-          forbid_v.(i) <- false;
-          ok_v.(i) <- true;
-          ok_v.(i + nx) <- true;
+          let mine () = if chance 50 then -1 else net in
+          g.Search.v_owner.(i) <- mine ();
+          g.Search.node_v.(i) <- mine ();
+          g.Search.node_v.(i + nx) <- mine ();
+          neg.Search.v_use.(i) <- 0;
+          neg.Search.v_hist.(i) <- 0;
           if iy + 1 < gy then g.Search.blocked.(i + nx) <- false;
-          pv.(i + nx) <- (if chance 25 then 300 + int 300 else 0)
+          neg.Search.nv_use.(i + nx) <- 0;
+          neg.Search.nv_hist.(i + nx) <-
+            (if chance 25 then 300 + int 300 else 0)
         done;
-      {
-        Search.edge_h = (fun i -> if forbid_h.(i) then -1 else eh.(i));
-        edge_v = (fun i -> if forbid_v.(i) then -1 else ev.(i));
-        node_ok_h = (fun i -> ok_h.(i));
-        node_ok_v = (fun i -> ok_v.(i));
-        node_price_h = (fun i -> ph.(i));
-        node_price_v = (fun i -> pv.(i));
-      }
+      Some (neg, 1 + int 30)
   in
   let via_q = if chance 20 then 0 else int 40 in
-  { g; costs; via_q; sx; sy; gx; gy; lo_x; hi_x }
+  { g; net; prices; via_q; sx; sy; gx; gy; lo_x; hi_x }
+
+(* a resource is usable when unowned or owned by the searching net *)
+let oracle_free c owner i =
+  owner.(i) = -1 || owner.(i) = c.net
+
+(* foreign tenancy at the present price plus history; nothing when
+   the case is unpriced *)
+let oracle_price c use hist i =
+  match c.prices with
+  | None -> 0
+  | Some (neg, present_q) -> (present_q * (use neg).(i)) + (hist neg).(i)
 
 (* The forced first move: straight down out of the source pin at a
    flat grid step, unpriced. It is not a search move, so the node it
@@ -357,30 +379,35 @@ let oracle_seed c =
   let nx = c.g.Search.nx in
   let below = ((c.sy + 1) * nx) + c.sx in
   c.sy + 1 < c.g.Search.ny
-  && c.costs.Search.edge_v ((c.sy * nx) + c.sx) >= 0
+  && oracle_free c c.g.Search.v_owner ((c.sy * nx) + c.sx)
   && (not c.g.Search.blocked.(below))
-  && c.costs.Search.node_ok_v below
+  && oracle_free c c.g.Search.node_v below
 
 (* Every legal move out of state (ix, iy, arrived-in-dir), with its
    cost: horizontal moves stay in the window and are barred by
-   [blocked_h] at either end; the entered node must not be blocked
-   unless it is the goal; [node_ok] of the move's layer holds at both
-   ends; a step costs a grid step, plus a via on a direction change,
-   plus the edge price, plus the entered node's price. *)
+   [blocked_h] at either end; the crossed edge must be free for the
+   net; the entered node must not be blocked unless it is the goal;
+   the move's layer must be free for the net at both ends; a step
+   costs a grid step, plus a via on a direction change, plus the
+   edge's price, plus the entered node's price. *)
 let oracle_moves c ix iy dir =
-  let g = c.g and k = c.costs in
+  let g = c.g in
   let nx = g.Search.nx in
   let here = (iy * nx) + ix in
-  let step nix niy ndir edge_price node_ok node_price =
+  let step nix niy ndir edge e_owner n_owner e_price n_price =
     let there = (niy * nx) + nix in
     let goal = nix = c.gx && niy = c.gy in
     if
-      edge_price >= 0
+      oracle_free c e_owner edge
       && ((not g.Search.blocked.(there)) || goal)
-      && node_ok there && node_ok here
+      && oracle_free c n_owner there
+      && oracle_free c n_owner here
     then
       let via = if ndir <> dir then c.via_q else 0 in
-      [ ((nix, niy, ndir), oracle_qscale + via + edge_price + node_price there) ]
+      [
+        ( (nix, niy, ndir),
+          oracle_qscale + via + e_price edge + n_price there );
+      ]
     else []
   in
   let horizontal nix =
@@ -389,15 +416,19 @@ let oracle_moves c ix iy dir =
       && not (g.Search.blocked_h.(here) || g.Search.blocked_h.((iy * nx) + nix))
     then
       step nix iy oracle_h
-        (k.Search.edge_h ((iy * nx) + min ix nix))
-        k.Search.node_ok_h k.Search.node_price_h
+        ((iy * nx) + min ix nix)
+        g.Search.h_owner g.Search.node_h
+        (oracle_price c (fun n -> n.Search.h_use) (fun n -> n.Search.h_hist))
+        (oracle_price c (fun n -> n.Search.nh_use) (fun n -> n.Search.nh_hist))
     else []
   in
   let vertical niy =
     if niy >= 0 && niy < g.Search.ny then
       step ix niy oracle_v
-        (k.Search.edge_v ((min iy niy * nx) + ix))
-        k.Search.node_ok_v k.Search.node_price_v
+        ((min iy niy * nx) + ix)
+        g.Search.v_owner g.Search.node_v
+        (oracle_price c (fun n -> n.Search.v_use) (fun n -> n.Search.v_hist))
+        (oracle_price c (fun n -> n.Search.nv_use) (fun n -> n.Search.nv_hist))
     else []
   in
   horizontal (ix + 1) @ horizontal (ix - 1) @ vertical (iy + 1) @ vertical (iy - 1)
@@ -466,8 +497,9 @@ let prop_search_matches_oracle =
     (fun seed ->
       let c = random_search_case seed in
       let found =
-        Search.run (Search.create_arena ()) c.g ~costs:c.costs ~via_q:c.via_q
-          ~sx:c.sx ~sy:c.sy ~gx:c.gx ~gy:c.gy ~lo_x:c.lo_x ~hi_x:c.hi_x
+        Search.run ?prices:c.prices (Search.create_arena ()) c.g ~net:c.net
+          ~via_q:c.via_q ~sx:c.sx ~sy:c.sy ~gx:c.gx ~gy:c.gy ~lo_x:c.lo_x
+          ~hi_x:c.hi_x
       in
       match (found, oracle_optimum c) with
       | None, None -> true

@@ -51,6 +51,10 @@ let prop_pqueue_sorts =
 
 let popij = Alcotest.(option (pair int int))
 
+(* one pop as (key, payload), [None] on an empty queue *)
+let pop_kv q =
+  match Dqueue.pop q with -1 -> None | v -> Some (Dqueue.popped_key q, v)
+
 let test_dqueue_basic () =
   let q = Dqueue.create () in
   checkb "empty" true (Dqueue.is_empty q);
@@ -58,19 +62,47 @@ let test_dqueue_basic () =
   Dqueue.push q 3 30;
   Dqueue.push q 5 51;
   checki "length" 3 (Dqueue.length q);
-  check popij "min key first" (Some (3, 30)) (Dqueue.pop q);
-  check popij "fifo within key" (Some (5, 50)) (Dqueue.pop q);
+  check popij "min key first" (Some (3, 30)) (pop_kv q);
+  check popij "fifo within key" (Some (5, 50)) (pop_kv q);
   (* a push below the cursor must still come out first *)
   Dqueue.push q 1 10;
-  check popij "cursor moves back" (Some (1, 10)) (Dqueue.pop q);
-  check popij "rest" (Some (5, 51)) (Dqueue.pop q);
-  check popij "drained" None (Dqueue.pop q);
+  check popij "cursor moves back" (Some (1, 10)) (pop_kv q);
+  check popij "rest" (Some (5, 51)) (pop_kv q);
+  check popij "drained" None (pop_kv q);
   (* clear with a far key (second page) pending, then reuse *)
   Dqueue.push q 700 7;
   Dqueue.clear q;
   checkb "cleared" true (Dqueue.is_empty q);
   Dqueue.push q 2 20;
-  check popij "reusable after clear" (Some (2, 20)) (Dqueue.pop q)
+  check popij "reusable after clear" (Some (2, 20)) (pop_kv q)
+
+let test_dqueue_popped_key () =
+  (* the popped key is reported exactly: across pages, after a cursor
+     move back, among FIFO ties and for far, sparse keys *)
+  let q = Dqueue.create () in
+  List.iter (fun (k, v) -> Dqueue.push q k v) [ (300, 1); (7, 2); (300, 3) ];
+  checki "payload" 2 (Dqueue.pop q);
+  checki "its key" 7 (Dqueue.popped_key q);
+  checki "next page" 1 (Dqueue.pop q);
+  checki "key on page 1" 300 (Dqueue.popped_key q);
+  Dqueue.push q 0 4;
+  checki "moved back" 4 (Dqueue.pop q);
+  checki "key 0" 0 (Dqueue.popped_key q);
+  checki "tie" 3 (Dqueue.pop q);
+  checki "tie key" 300 (Dqueue.popped_key q);
+  checkb "drained" true (Dqueue.is_empty q);
+  (* a sparse far key: the cursor crosses thousands of empty pages *)
+  Dqueue.push q 1_000_000 5;
+  Dqueue.push q 999_999 6;
+  checki "far payload" 6 (Dqueue.pop q);
+  checki "far key" 999_999 (Dqueue.popped_key q);
+  checki "farther payload" 5 (Dqueue.pop q);
+  checki "farther key" 1_000_000 (Dqueue.popped_key q);
+  checki "pop on empty" (-1) (Dqueue.pop q);
+  checki "key of the last pop kept" 1_000_000 (Dqueue.popped_key q);
+  Alcotest.check_raises "negative payload"
+    (Invalid_argument "Dqueue.push: negative payload") (fun () ->
+      Dqueue.push q 1 (-1))
 
 (* The documented contract, checked against an executable model: keys
    pop in non-decreasing order and equal keys pop in push (FIFO)
@@ -103,15 +135,15 @@ let prop_dqueue_matches_model =
             Dqueue.length q = List.length !model
           end
           else
-            match (Dqueue.pop q, !model) with
+            match (pop_kv q, !model) with
             | None, [] -> true
             | Some (k, v), (mk, mv) :: rest ->
                 model := rest;
                 k = mk && v = mv
             | _ -> false)
         ops
-      && List.for_all (fun (mk, mv) -> Dqueue.pop q = Some (mk, mv)) !model
-      && Dqueue.pop q = None)
+      && List.for_all (fun (mk, mv) -> pop_kv q = Some (mk, mv)) !model
+      && pop_kv q = None)
 
 (* Same priority sequence as the float binary heap it replaces, under
    interleaved pushes and pops dense with duplicate priorities (the
@@ -131,14 +163,14 @@ let prop_dqueue_order_matches_pqueue =
             Dqueue.length dq = Pqueue.length pq
           end
           else
-            match (Dqueue.pop dq, Pqueue.pop pq) with
+            match (pop_kv dq, Pqueue.pop pq) with
             | None, None -> true
             | Some (k, _), Some (p, _) -> float_of_int k = p
             | _ -> false)
         ops
       &&
       let rec drain () =
-        match (Dqueue.pop dq, Pqueue.pop pq) with
+        match (pop_kv dq, Pqueue.pop pq) with
         | None, None -> true
         | Some (k, _), Some (p, _) -> float_of_int k = p && drain ()
         | _ -> false
@@ -412,6 +444,7 @@ let () =
       ( "dqueue",
         [
           Alcotest.test_case "basic" `Quick test_dqueue_basic;
+          Alcotest.test_case "popped key" `Quick test_dqueue_popped_key;
           QCheck_alcotest.to_alcotest prop_dqueue_matches_model;
           QCheck_alcotest.to_alcotest prop_dqueue_order_matches_pqueue;
         ] );
